@@ -336,7 +336,7 @@ fn run_twins(smoke: bool) -> Vec<TwinCell> {
             );
             twin.set_faults(plan.clone());
             twin.run(total_rounds);
-            let outcome_match = real.runner().member_ids() == twin.simulator().member_ids()
+            let outcome_match = real.simulator().member_ids() == twin.simulator().member_ids()
                 && fingerprint(&real.report(), &real.snapshots())
                     == fingerprint(&twin.report(), &twin.snapshots());
             let fault_stats_match = real.fault_stats() == twin.fault_stats();

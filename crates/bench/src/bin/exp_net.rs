@@ -201,7 +201,7 @@ fn run_cell<A: Adversary>(
         trace,
     );
     twin.run(total_rounds);
-    let outcome_match = real.runner().member_ids() == twin.simulator().member_ids()
+    let outcome_match = real.simulator().member_ids() == twin.simulator().member_ids()
         && serde_json::to_string(&real.report()).unwrap()
             == serde_json::to_string(&twin.report()).unwrap()
         && serde_json::to_string(&real.snapshots()).unwrap()

@@ -8,9 +8,11 @@
 //!
 //! * [`ProtocolNode`] is the per-node state machine (Listings 3 and 4).
 //! * [`MaintenanceParams`] bundles every tunable (`c`, `δ`, `τ`, `r`, …).
-//! * [`MaintenanceHarness`] wires the protocol, an adversary and the
-//!   round-synchronous simulator together and produces health reports
-//!   (participation, connectivity, swarm sizes, congestion).
+//! * [`Harness`] wires the protocol, an adversary and one scheduler together
+//!   and produces health reports (participation, connectivity, swarm sizes,
+//!   congestion); [`MaintenanceHarness`], [`AsyncMaintenanceHarness`] and
+//!   [`NetMaintenanceHarness`] pick the round engine, the event engine and
+//!   the loopback transport.
 //!
 //! Experiments should compose a harness through the `tsa-scenario` builder
 //! (`Scenario::maintained_lds(n)…`); the low-level entry point it sits on is
@@ -37,19 +39,17 @@
 #![deny(missing_docs)]
 
 pub mod byzantine;
-pub mod event_harness;
 pub mod harness;
 pub mod messages;
-pub mod net_harness;
 pub mod node;
 pub mod params;
 pub mod snapshot;
 
 pub use byzantine::{ByzantineSpec, MisbehaviorKind};
-pub use event_harness::AsyncMaintenanceHarness;
-pub use harness::{MaintenanceHarness, MaintenanceReport};
+pub use harness::{
+    AsyncMaintenanceHarness, Harness, MaintenanceHarness, MaintenanceReport, NetMaintenanceHarness,
+};
 pub use messages::{MsgKind, ProtocolMsg};
-pub use net_harness::NetMaintenanceHarness;
 pub use node::ProtocolNode;
 pub use params::MaintenanceParams;
 pub use snapshot::{NodeSnapshot, NodeStats};

@@ -16,14 +16,17 @@
 //! on all three engines — otherwise merely *wiring in* the feature would
 //! silently shift every committed baseline.
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use tsa_adversary::RandomChurnAdversary;
 use tsa_core::{
     AsyncMaintenanceHarness, ByzantineSpec, MaintenanceHarness, MaintenanceParams, MisbehaviorKind,
     NetMaintenanceHarness,
 };
 use tsa_event::{FaultAction, FaultPlan, FaultRule, LatencyModel, NetModel, RoundWindow};
-use tsa_sim::NullAdversary;
+use tsa_obs::{ObsHandle, ObsRecorder};
+use tsa_sim::{NullAdversary, PARALLEL_WORK_THRESHOLD};
 
 fn small_params(n: usize) -> MaintenanceParams {
     MaintenanceParams::new(n)
@@ -98,7 +101,7 @@ fn assert_faulted_twin(kind: MisbehaviorKind, seed: u64) {
     twin.run(rounds);
 
     assert_eq!(
-        real.runner().member_ids(),
+        real.simulator().member_ids(),
         twin.simulator().member_ids(),
         "{label}/{seed}: membership diverged"
     );
@@ -271,4 +274,71 @@ fn the_empty_plan_and_fraction_zero_are_invisible_on_the_transport_replay() {
         plain,
         "a zero byzantine fraction must be byte-invisible in replay"
     );
+}
+
+/// The event engine computes each round in parallel once it has
+/// [`PARALLEL_WORK_THRESHOLD`] work items, and a maintained n = 48 overlay
+/// delivers far more messages than that per round. Under a lossy, jittered
+/// network, random churn and the mixed fault plan, a recorded run — report,
+/// snapshots, metrics digest, deterministic obs snapshot — and the replay of
+/// its trace must be byte-identical at thread caps 1, 2 and 4.
+#[test]
+fn faulted_lossy_event_runs_and_their_replays_ignore_the_thread_cap() {
+    let params = small_params(48);
+    let rounds = params.bootstrap_rounds() + 4;
+    let net = NetModel {
+        latency: LatencyModel::uniform(100, 1800),
+        jitter: 300,
+        loss: 0.03,
+    };
+    let run = |cap: usize| {
+        rayon::with_thread_cap(cap, || {
+            let mut rec = AsyncMaintenanceHarness::assemble(
+                params,
+                RandomChurnAdversary::new(1, 5),
+                5,
+                params.paper_churn_rules(),
+                params.paper_lateness(),
+                net,
+            );
+            rec.set_faults(mixed_plan());
+            rec.simulator_mut().record_trace();
+            let obs = Arc::new(ObsRecorder::new());
+            rec.set_obs(ObsHandle::new(obs.clone()));
+            rec.run(rounds);
+            let delivered = rec.last_metrics().unwrap().messages_delivered;
+            assert!(
+                delivered >= PARALLEL_WORK_THRESHOLD,
+                "only {delivered} deliveries: the round would compute serially"
+            );
+            assert!(rec.fault_stats().total() > 0 && rec.net_stats().lost > 0);
+            let recorded = fingerprint(&rec.report(), &rec.snapshots());
+
+            let trace = rec.simulator_mut().take_trace().unwrap();
+            let mut rep = AsyncMaintenanceHarness::assemble_replay(
+                params,
+                RandomChurnAdversary::new(1, 5),
+                5,
+                params.paper_churn_rules(),
+                params.paper_lateness(),
+                trace,
+            );
+            rep.set_faults(mixed_plan());
+            rep.run(rounds);
+            assert_eq!(
+                fingerprint(&rep.report(), &rep.snapshots()),
+                recorded,
+                "cap {cap}: the replay must reproduce the recording"
+            );
+            (
+                recorded,
+                serde_json::to_string(&rec.metrics_summary()).unwrap(),
+                serde_json::to_string(&obs.det_snapshot()).unwrap(),
+            )
+        })
+    };
+    let baseline = run(1);
+    for cap in [2, 4] {
+        assert_eq!(run(cap), baseline, "divergence under thread cap {cap}");
+    }
 }

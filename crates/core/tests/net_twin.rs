@@ -62,7 +62,7 @@ fn assert_twin_reproduces<A: Adversary>(
     twin.run(rounds);
 
     assert_eq!(
-        real.runner().member_ids(),
+        real.simulator().member_ids(),
         twin.simulator().member_ids(),
         "{label}/{seed}: membership diverged"
     );

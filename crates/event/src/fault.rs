@@ -45,6 +45,7 @@
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use tsa_obs::ObsHandle;
 use tsa_sim::rng::mix;
 use tsa_sim::{NodeId, Round};
 
@@ -63,8 +64,8 @@ const COIN_BLOCK_LANES: u64 = 64;
 /// sequence numbers monotonically, so caching the current block per rule
 /// amortizes the RNG key schedule over 64 messages. The coin values are a
 /// pure function of `(seed, seq, idx)` — the cache changes *when* blocks
-/// are generated, never *what* a coin is, so [`FaultPlan::decide`] (which
-/// builds a throwaway cache) and [`FaultPlan::decide_with`] agree exactly.
+/// are generated, never *what* a coin is, so a throwaway cache and a
+/// long-lived one make [`FaultPlan::decide_with`] agree exactly.
 #[derive(Clone, Debug)]
 pub struct FaultCoins {
     seed: u64,
@@ -370,31 +371,16 @@ impl FaultPlan {
     }
 
     /// Decides the fault for message `seq` sent in `round` from `from` to
-    /// `to` with kind tag `kind`, under master seed `seed`.
+    /// `to` with kind tag `kind`, drawing coins from `coins` (seeded with
+    /// the run's master seed).
     ///
     /// A pure function: the rules are scanned in order, each matching rule
     /// flips its private coin (one lane of the `(seed, seq / 64, rule
     /// index)` block — no shared stream), and the first rule whose coin
     /// fires decides. Hostile plans (empty, overlapping windows, all-match
-    /// selectors) degrade to ordinary rule priority and can never panic.
-    ///
-    /// This one-shot form builds a throwaway coin cache; hot loops keep a
-    /// [`FaultCoins`] across messages and call
-    /// [`decide_with`](Self::decide_with) instead, for the identical result.
-    pub fn decide(
-        &self,
-        seed: u64,
-        seq: u64,
-        round: Round,
-        from: NodeId,
-        to: NodeId,
-        kind: u8,
-    ) -> FaultDecision {
-        self.decide_with(&mut FaultCoins::new(seed), seq, round, from, to, kind)
-    }
-
-    /// [`decide`](Self::decide) with an explicit coin cache (seeded with the
-    /// same master seed) — the hot-loop form both engines use.
+    /// selectors) degrade to ordinary rule priority and can never panic. A
+    /// cache reused across messages and a fresh one per message decide
+    /// identically; engines go through [`FaultInjector`].
     // The negated comparisons are deliberate: they send NaN probabilities
     // into the never-fires arm instead of the always-fires one.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -501,9 +487,99 @@ impl FaultStats {
     }
 }
 
+/// A fault plan installed on an engine: the plan, the protocol's adapter,
+/// the coin cache and the counters. Both the event engine and the loopback
+/// transport take every fault decision through
+/// [`decide`](FaultInjector::decide), so a plan counts and mutates
+/// identically on both.
+pub struct FaultInjector<M> {
+    plan: FaultPlan,
+    adapter: FaultAdapter<M>,
+    coins: FaultCoins,
+    stats: FaultStats,
+    /// The counters at the start of the current round (obs deltas).
+    round_start: FaultStats,
+}
+
+impl<M> FaultInjector<M> {
+    /// Installs `plan` for runs under master seed `seed`.
+    pub fn new(plan: FaultPlan, adapter: FaultAdapter<M>, seed: u64) -> Self {
+        FaultInjector {
+            plan,
+            adapter,
+            coins: FaultCoins::new(seed),
+            stats: FaultStats::default(),
+            round_start: FaultStats::default(),
+        }
+    }
+
+    /// Decides the fault for message `seq`, sent in `round` from `from` to
+    /// `to`, and counts it; a [`FaultDecision::Mutate`] corrupts `payload`
+    /// in place with the entropy of `(seed, seq)`.
+    pub fn decide(
+        &mut self,
+        seq: u64,
+        round: Round,
+        from: NodeId,
+        to: NodeId,
+        payload: &mut M,
+    ) -> FaultDecision {
+        let kind = (self.adapter.kind_of)(payload);
+        let decision = self
+            .plan
+            .decide_with(&mut self.coins, seq, round, from, to, kind);
+        match decision {
+            FaultDecision::Pass => {}
+            FaultDecision::Drop => self.stats.dropped += 1,
+            FaultDecision::Delay(_) => self.stats.delayed += 1,
+            FaultDecision::Duplicate => self.stats.duplicated += 1,
+            FaultDecision::Mutate => {
+                let entropy = FaultPlan::mutation_entropy(self.coins.seed, seq);
+                if (self.adapter.mutate)(payload, entropy) {
+                    self.stats.mutated += 1;
+                }
+            }
+        }
+        decision
+    }
+
+    /// Whole-run counters of injected faults.
+    pub fn stats(&self) -> FaultStats {
+        self.stats
+    }
+
+    /// Marks the start of a round for [`record_obs`](Self::record_obs).
+    pub fn begin_round(&mut self) {
+        self.round_start = self.stats;
+    }
+
+    /// Adds the faults injected since [`begin_round`](Self::begin_round) to
+    /// the `proto.fault_*` counters.
+    pub fn record_obs(&self, obs: &ObsHandle) {
+        let (f, s) = (&self.stats, &self.round_start);
+        obs.add("proto.fault_dropped", f.dropped - s.dropped);
+        obs.add("proto.fault_delayed", f.delayed - s.delayed);
+        obs.add("proto.fault_duplicated", f.duplicated - s.duplicated);
+        obs.add("proto.fault_mutated", f.mutated - s.mutated);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A one-shot decision with a fresh coin cache.
+    fn decide(
+        plan: &FaultPlan,
+        seed: u64,
+        seq: u64,
+        round: Round,
+        from: NodeId,
+        to: NodeId,
+        kind: u8,
+    ) -> FaultDecision {
+        plan.decide_with(&mut FaultCoins::new(seed), seq, round, from, to, kind)
+    }
 
     fn drop_all() -> FaultPlan {
         FaultPlan::new().with_rule(FaultRule::every(FaultAction::Drop))
@@ -515,7 +591,7 @@ mod tests {
         assert!(plan.is_empty());
         for seq in 0..64 {
             assert_eq!(
-                plan.decide(7, seq, 3, NodeId(1), NodeId(2), 0),
+                decide(&plan, 7, seq, 3, NodeId(1), NodeId(2), 0),
                 FaultDecision::Pass
             );
         }
@@ -527,12 +603,12 @@ mod tests {
             .with_rule(FaultRule::every(FaultAction::Drop).kinds([2]))
             .with_rule(FaultRule::every(FaultAction::Mutate));
         assert_eq!(
-            plan.decide(1, 0, 0, NodeId(0), NodeId(1), 2),
+            decide(&plan, 1, 0, 0, NodeId(0), NodeId(1), 2),
             FaultDecision::Drop,
             "kind 2 hits the drop rule first"
         );
         assert_eq!(
-            plan.decide(1, 0, 0, NodeId(0), NodeId(1), 3),
+            decide(&plan, 1, 0, 0, NodeId(0), NodeId(1), 3),
             FaultDecision::Mutate,
             "other kinds fall through to the catch-all"
         );
@@ -544,10 +620,10 @@ mod tests {
             .with_rule(FaultRule::every(FaultAction::Drop).with_prob(0.5))
             .with_rule(FaultRule::every(FaultAction::Delay { ticks: 700 }).with_prob(0.5));
         let first: Vec<FaultDecision> = (0..256)
-            .map(|seq| plan.decide(42, seq, 5, NodeId(3), NodeId(4), 1))
+            .map(|seq| decide(&plan, 42, seq, 5, NodeId(3), NodeId(4), 1))
             .collect();
         let second: Vec<FaultDecision> = (0..256)
-            .map(|seq| plan.decide(42, seq, 5, NodeId(3), NodeId(4), 1))
+            .map(|seq| decide(&plan, 42, seq, 5, NodeId(3), NodeId(4), 1))
             .collect();
         assert_eq!(first, second, "same inputs, same decisions");
         assert!(
@@ -557,7 +633,7 @@ mod tests {
             "a 0.5/0.5 two-rule plan exercises all three outcomes: {first:?}"
         );
         let other_seed: Vec<FaultDecision> = (0..256)
-            .map(|seq| plan.decide(43, seq, 5, NodeId(3), NodeId(4), 1))
+            .map(|seq| decide(&plan, 43, seq, 5, NodeId(3), NodeId(4), 1))
             .collect();
         assert_ne!(first, other_seed, "the seed matters");
     }
@@ -573,25 +649,25 @@ mod tests {
                     region: 0,
                 }),
         );
-        let hit = plan.decide(1, 0, 15, NodeId(5), NodeId(3), 0);
+        let hit = decide(&plan, 1, 0, 15, NodeId(5), NodeId(3), 0);
         assert_eq!(hit, FaultDecision::Drop);
         assert_eq!(
-            plan.decide(1, 0, 9, NodeId(5), NodeId(3), 0),
+            decide(&plan, 1, 0, 9, NodeId(5), NodeId(3), 0),
             FaultDecision::Pass,
             "before the window"
         );
         assert_eq!(
-            plan.decide(1, 0, 20, NodeId(5), NodeId(3), 0),
+            decide(&plan, 1, 0, 20, NodeId(5), NodeId(3), 0),
             FaultDecision::Pass,
             "the window end is exclusive"
         );
         assert_eq!(
-            plan.decide(1, 0, 15, NodeId(6), NodeId(3), 0),
+            decide(&plan, 1, 0, 15, NodeId(6), NodeId(3), 0),
             FaultDecision::Pass,
             "wrong sender"
         );
         assert_eq!(
-            plan.decide(1, 0, 15, NodeId(5), NodeId(9), 0),
+            decide(&plan, 1, 0, 15, NodeId(5), NodeId(9), 0),
             FaultDecision::Pass,
             "receiver in the wrong region"
         );
@@ -603,7 +679,7 @@ mod tests {
             let plan =
                 FaultPlan::new().with_rule(FaultRule::every(FaultAction::Drop).with_prob(prob));
             // NaN and non-positive probabilities never fire; ≥ 1 always does.
-            let d = plan.decide(1, 0, 0, NodeId(0), NodeId(1), 0);
+            let d = decide(&plan, 1, 0, 0, NodeId(0), NodeId(1), 0);
             if prob >= 1.0 {
                 assert_eq!(d, FaultDecision::Drop);
             } else {

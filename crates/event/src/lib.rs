@@ -32,11 +32,13 @@
 //!   `tsa-scenario` / `tsa-sweep` stack uses to pick an engine per scenario
 //!   (default: the synchronous round model).
 //!
-//! Both engines schedule the *same* node logic — any
-//! [`ProtocolStep`](tsa_sim::ProtocolStep) (which every
-//! [`Process`](tsa_sim::Process) implements) — and share one churn arbiter,
-//! so the lockstep round engine is just one scheduler policy: an event run
-//! whose delays never exceed one round reproduces it bit for bit.
+//! [`EventSimulator`] is the scheduler core of `tsa-sim`
+//! ([`Engine`](tsa_sim::Engine)) under the [`Queued`] delivery policy, so it
+//! runs the *same* node logic — any [`ProtocolStep`](tsa_sim::ProtocolStep)
+//! (which every [`Process`](tsa_sim::Process) implements) — through the same
+//! churn, delivery, compute and collect code as the lockstep round engine:
+//! an event run whose delays never exceed one round reproduces it bit for
+//! bit.
 //!
 //! ```
 //! use tsa_event::{EventConfig, EventSimulator, LatencyModel, NetModel};
@@ -70,10 +72,10 @@ pub mod model;
 pub mod queue;
 pub mod trace;
 
-pub use engine::{EventConfig, EventSimulator, NetStats};
+pub use engine::{EventConfig, EventSimulator, NetStats, Queued};
 pub use fault::{
-    FaultAction, FaultAdapter, FaultCoins, FaultDecision, FaultPlan, FaultRule, FaultStats,
-    NodeSelector, RoundWindow,
+    FaultAction, FaultAdapter, FaultCoins, FaultDecision, FaultInjector, FaultPlan, FaultRule,
+    FaultStats, NodeSelector, RoundWindow,
 };
 pub use model::{
     ExecutionModel, FateBlock, LatencyModel, LinkOverride, NetModel, PartitionSchedule,
@@ -239,8 +241,8 @@ mod tests {
 
     #[test]
     fn traces_ignore_the_ambient_thread_budget() {
-        // The event loop is sequential; a thread cap (as imposed on sweep
-        // workers) must not perturb a single bit.
+        // A thread cap (as imposed on sweep workers) must not perturb a
+        // single bit.
         let net = NetModel {
             latency: LatencyModel::pareto(100, 800, 1, 20_000),
             jitter: 100,

@@ -83,9 +83,10 @@ impl<M> Ord for Pending<M> {
     }
 }
 
-/// One wheel slot: its events plus a lazily-maintained sort flag. A drained
-/// bucket keeps its allocation — the ring recycles it for the round window
-/// that wraps onto the same slot.
+/// One wheel slot: its events plus a lazily-maintained sort flag. A fully
+/// drained bucket hands its buffer to the queue's single spare (see
+/// [`CalendarQueue::push`]), so the ring never holds more than the live
+/// windows' worth of capacity.
 struct Bucket<M> {
     /// The slot's events; sorted *descending* by key when `sorted` is set,
     /// so the minimum pops from the tail in O(1).
@@ -123,6 +124,12 @@ pub struct CalendarQueue<M> {
     /// in bucket `u64::MAX`, and a sentinel collision there once made
     /// `seek_to_live_bucket` spin forever.
     overflow_min: Option<u64>,
+    /// The buffer of the most recently drained bucket, taken by the next
+    /// push into an unallocated bucket. One spare instead of one retained
+    /// buffer per slot: a round-shaped workload keeps one or two buckets
+    /// live, and 64 slots each holding a full round of events would be
+    /// dead weight.
+    spare: Vec<Pending<M>>,
 }
 
 impl<M> CalendarQueue<M> {
@@ -136,6 +143,7 @@ impl<M> CalendarQueue<M> {
             ring_len: 0,
             overflow: Vec::new(),
             overflow_min: None,
+            spare: Vec::new(),
         }
     }
 
@@ -170,14 +178,23 @@ impl<M> CalendarQueue<M> {
     pub fn push(&mut self, p: Pending<M>) {
         let b = self.bucket_of(p.arrival);
         if self.in_ring(b) {
-            let slot = &mut self.ring[(b % WHEEL_SLOTS) as usize];
-            slot.items.push(p);
-            slot.sorted = false;
-            self.ring_len += 1;
+            self.push_ring(b, p);
         } else {
             self.overflow_min = Some(self.overflow_min.map_or(b, |m| m.min(b)));
             self.overflow.push(p);
         }
+    }
+
+    /// Files an event into ring bucket `b`. A bucket without a buffer takes
+    /// the spare one.
+    fn push_ring(&mut self, b: u64, p: Pending<M>) {
+        let slot = &mut self.ring[(b % WHEEL_SLOTS) as usize];
+        if slot.items.capacity() == 0 {
+            slot.items = std::mem::take(&mut self.spare);
+        }
+        slot.items.push(p);
+        slot.sorted = false;
+        self.ring_len += 1;
     }
 
     /// Folds every overflow event whose bucket has come inside the ring
@@ -189,10 +206,7 @@ impl<M> CalendarQueue<M> {
             let b = self.bucket_of(self.overflow[i].arrival);
             if self.in_ring(b) {
                 let p = self.overflow.swap_remove(i);
-                let slot = &mut self.ring[(b % WHEEL_SLOTS) as usize];
-                slot.items.push(p);
-                slot.sorted = false;
-                self.ring_len += 1;
+                self.push_ring(b, p);
             } else {
                 min = Some(min.map_or(b, |m| m.min(b)));
                 i += 1;
@@ -255,7 +269,11 @@ impl<M> CalendarQueue<M> {
             return None;
         }
         self.ring_len -= 1;
-        bucket.items.pop()
+        let p = bucket.items.pop();
+        if bucket.items.is_empty() {
+            self.spare = std::mem::take(&mut bucket.items);
+        }
+        p
     }
 
     /// Moves every event with `arrival <= now` into `out`, in **unspecified
@@ -286,6 +304,7 @@ impl<M> CalendarQueue<M> {
                 self.ring_len -= bucket.items.len();
                 out.append(&mut bucket.items);
                 bucket.sorted = true;
+                self.spare = std::mem::take(&mut bucket.items);
                 continue;
             }
             // Partially due bucket: sort once, then peel the due tail.
@@ -298,6 +317,9 @@ impl<M> CalendarQueue<M> {
             while bucket.items.last().is_some_and(|p| p.arrival <= now) {
                 out.push(bucket.items.pop().expect("tail checked above"));
                 self.ring_len -= 1;
+            }
+            if bucket.items.is_empty() {
+                self.spare = std::mem::take(&mut bucket.items);
             }
             return;
         }
@@ -476,6 +498,34 @@ mod tests {
                 .map(|k| k.1)
                 .collect::<Vec<_>>(),
             vec![4, 5]
+        );
+    }
+
+    #[test]
+    fn drained_buckets_share_one_spare_instead_of_hoarding_capacity() {
+        // 200 rounds of one-round-latency traffic: each round's batch
+        // arrives by the next boundary (a full-round delay lands on the next
+        // window's first tick, so two buckets can be live at once). Were
+        // drained buckets to keep their buffers, all 64 slots would end up
+        // holding a full batch each.
+        let mut q = CalendarQueue::new(1000);
+        let mut out = Vec::new();
+        let mut seq = 0;
+        let mut largest = 0;
+        for round in 0..200u64 {
+            let batch = 100 + (round * 37 % 101);
+            largest = largest.max(batch as usize);
+            for _ in 0..batch {
+                q.push(pending(round * 1000 + 1 + seq % 1000, seq, 0));
+                seq += 1;
+            }
+            out.clear();
+            q.drain_at_or_before((round + 1) * 1000, &mut out);
+        }
+        let held = q.spare.capacity() + q.ring.iter().map(|b| b.items.capacity()).sum::<usize>();
+        assert!(
+            held <= 3 * largest,
+            "{held} slots held for batches of at most {largest}"
         );
     }
 

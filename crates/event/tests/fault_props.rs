@@ -177,8 +177,11 @@ proptest! {
         to in 0u64..32,
         kind in 0u8..8,
     ) {
-        let a = plan.decide(seed, seq, round, NodeId(from), NodeId(to), kind);
-        let b = plan.decide(seed, seq, round, NodeId(from), NodeId(to), kind);
+        let one_shot = |plan: &FaultPlan| {
+            plan.decide_with(&mut FaultCoins::new(seed), seq, round, NodeId(from), NodeId(to), kind)
+        };
+        let a = one_shot(&plan);
+        let b = one_shot(&plan);
         prop_assert_eq!(a, b, "same inputs must give the same decision");
         let mut coins = FaultCoins::new(seed);
         let c = plan.decide_with(&mut coins, seq, round, NodeId(from), NodeId(to), kind);
@@ -238,7 +241,8 @@ proptest! {
 
         // Bare decisions at the extremes of every argument.
         for (seq, round) in [(0, 0), (u64::MAX, u64::MAX), (1, u64::MAX - 1)] {
-            let _ = hostile.decide(seed, seq, round, NodeId(u64::MAX), NodeId(0), u8::MAX);
+            let mut coins = FaultCoins::new(seed);
+            let _ = hostile.decide_with(&mut coins, seq, round, NodeId(u64::MAX), NodeId(0), u8::MAX);
         }
 
         // A short engine run with the hostile plan installed: saturating

@@ -10,8 +10,8 @@
 //! * an engine run's recorded trace (derived through the engine's *cached*
 //!   fate block) must equal the fates predicted by fresh one-shot
 //!   [`NetModel::route`] calls, message by message;
-//! * a cached [`FaultCoins`] must agree with the one-shot
-//!   [`FaultPlan::decide`] for every sequence number.
+//! * a cached [`FaultCoins`] must agree with a fresh one-shot cache in
+//!   [`FaultPlan::decide_with`] for every sequence number.
 
 use std::collections::BinaryHeap;
 
@@ -230,7 +230,8 @@ proptest! {
             .with_rule(FaultRule::every(FaultAction::Duplicate).with_prob(0.5));
         let mut coins = FaultCoins::new(seed);
         for seq in 0u64..300 {
-            let one_shot = plan.decide(seed, seq, 3, NodeId(1), NodeId(2), 0);
+            let one_shot =
+                plan.decide_with(&mut FaultCoins::new(seed), seq, 3, NodeId(1), NodeId(2), 0);
             let cached = plan.decide_with(&mut coins, seq, 3, NodeId(1), NodeId(2), 0);
             prop_assert_eq!(cached, one_shot, "coin diverged at seq {}", seq);
         }

@@ -10,10 +10,9 @@
 //!   serde value trees: deterministic encoding, incremental partial-read
 //!   decoding, and hostile-input rejection (size bounds, depth caps, no
 //!   panics);
-//! * [`NetRunner`] — the loopback-TCP runtime: one listener per node, a
-//!   single poller thread, wall-clock rounds derived from the event engine's
-//!   1000-ticks clock, and churn through the shared
-//!   [`tsa_sim::apply_churn_plan`] arbiter;
+//! * [`NetRunner`] — the loopback-TCP runtime: the shared scheduler core
+//!   under the [`Sockets`] delivery policy — one listener per node, a single
+//!   poller thread, and wall-clock rounds of a configured duration;
 //! * every message's fate is recorded in a
 //!   [`MessageTrace`](tsa_event::MessageTrace); replaying the trace in the
 //!   [`EventSimulator`](tsa_event::EventSimulator) reproduces the transport
@@ -52,7 +51,7 @@ pub use codec::{
     decode_value, decode_wire_value, encode_frame, encode_value, encode_wire_frame, CodecError,
     FrameDecoder, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
 };
-pub use runner::{NetConfig, NetRunner, WireStats};
+pub use runner::{NetConfig, NetRunner, Sockets, WireStats};
 
 #[cfg(test)]
 mod tests {
@@ -90,6 +89,18 @@ mod tests {
         let config = NetConfig::new(SimConfig::default().with_seed(seed))
             .with_round_duration(Duration::from_millis(10));
         NetRunner::new(config, NullAdversary, Box::new(|_, _| Ping::default()))
+    }
+
+    #[test]
+    fn round_durations_round_trip_exactly() {
+        for d in [
+            Duration::from_nanos(1),
+            Duration::from_millis(15),
+            Duration::from_millis(20),
+        ] {
+            let config = NetConfig::new(SimConfig::default()).with_round_duration(d);
+            assert_eq!(config.round_duration(), d);
+        }
     }
 
     #[test]

@@ -7,14 +7,16 @@ use tsa_adversary::{DegreeAttackAdversary, RandomChurnAdversary, TargetedSwarmAd
 use tsa_analysis::uniformity;
 use tsa_baselines::{attack_trial, AttackMode, ChordSwarm, HdGraph, SpartanOverlay};
 use tsa_core::{
-    AsyncMaintenanceHarness, ByzantineSpec, MaintenanceHarness, MaintenanceParams,
-    MaintenanceReport,
+    AsyncMaintenanceHarness, ByzantineSpec, Harness, MaintenanceHarness, MaintenanceParams,
+    MaintenanceReport, ProtocolNode,
 };
-use tsa_event::{ExecutionModel, FaultPlan, LatencyModel, NetModel, Topology};
+use tsa_event::{
+    ExecutionModel, FaultPlan, FaultStats, LatencyModel, NetModel, NetStats, Topology,
+};
 use tsa_obs::ObsHandle;
 use tsa_overlay::{Lds, OverlayGraph, Position};
 use tsa_routing::{sample_many, uniform_workload, RoutableSeries, RoutingConfig, RoutingSim};
-use tsa_sim::{Adversary, Lateness, MetricsHistory, MetricsMode, NodeId, NullAdversary};
+use tsa_sim::{Adversary, Delivery, Lateness, MetricsHistory, MetricsMode, NodeId, NullAdversary};
 
 use crate::outcome::{
     BaselineOutcome, MaintenanceOutcome, RoutingOutcome, SamplingOutcome, ScenarioOutcome,
@@ -317,12 +319,25 @@ fn run_async_maintained(spec: ScenarioSpec, topology: Topology, rounds: u64) -> 
         harness.run_bootstrap();
     }
     harness.run(rounds);
-    let report = harness.report();
+    let net_stats = Some(harness.net_stats());
     let fault_stats = spec.faults.is_some().then(|| harness.fault_stats());
-    let max_connect_load = harness.connect_load().values().copied().max().unwrap_or(0);
-    let spec_metrics = spec.metrics;
+    maintenance_outcome(spec, &harness, net_stats, fault_stats)
+}
+
+/// Finalizes a maintained run into its outcome — one shape for every
+/// engine. Measured rounds exclude the bootstrap phase when the spec says
+/// it ran, so replaying `Scenario::from_spec(spec).run(rounds)` reproduces
+/// the outcome exactly. Only an engine with a network model has
+/// loss/delay/bridge counters (`net_stats`), and only a spec with a fault
+/// plan has fault counters.
+fn maintenance_outcome<D: Delivery<ProtocolNode>>(
+    spec: ScenarioSpec,
+    harness: &Harness<Box<dyn Adversary>, D>,
+    net_stats: Option<NetStats>,
+    fault_stats: Option<FaultStats>,
+) -> ScenarioOutcome {
     let bootstrap_rounds = if spec.bootstrap {
-        params.bootstrap_rounds()
+        harness.params().bootstrap_rounds()
     } else {
         0
     };
@@ -332,19 +347,19 @@ fn run_async_maintained(spec: ScenarioSpec, topology: Topology, rounds: u64) -> 
             spec.n,
             spec.adversary.label()
         ),
-        spec,
         rounds: harness.round().saturating_sub(bootstrap_rounds),
         maintenance: Some(MaintenanceOutcome {
-            report,
+            report: harness.report(),
             metrics_summary: harness.metrics_summary(),
-            metrics: match spec_metrics {
+            metrics: match spec.metrics {
                 MetricsMode::Full => Some(harness.metrics().clone()),
                 MetricsMode::Streaming => None,
             },
-            max_connect_load,
-            net_stats: Some(harness.net_stats()),
+            max_connect_load: harness.connect_load().values().copied().max().unwrap_or(0),
+            net_stats,
             fault_stats,
         }),
+        spec,
         baseline: None,
         routing: None,
         sampling: None,
@@ -437,54 +452,15 @@ impl ScenarioRun {
         &self.harness
     }
 
-    /// Finalizes the run into a serializable outcome.
+    /// Finalizes the run into a serializable outcome. The spec's bootstrap
+    /// flag is corrected to what happened, for runs driven manually through
+    /// `build()`.
     pub fn into_outcome(self) -> ScenarioOutcome {
-        let report = self.harness.report();
-        let max_connect_load = self
-            .harness
-            .connect_load()
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0);
-        // Measured rounds exclude the bootstrap phase when it actually ran,
-        // so replaying `Scenario::from_spec(spec).run(rounds)` reproduces
-        // this outcome exactly. The spec's bootstrap flag is corrected to
-        // what happened, for runs driven manually through `build()`.
-        let bootstrap_rounds = if self.bootstrap_ran {
-            self.harness.params().bootstrap_rounds()
-        } else {
-            0
-        };
         let mut spec = self.spec;
         spec.bootstrap = self.bootstrap_ran;
-        let spec_metrics = spec.metrics;
-        ScenarioOutcome {
-            label: format!(
-                "maintained LDS, n = {}, adversary = {}",
-                spec.n,
-                spec.adversary.label()
-            ),
-            spec,
-            rounds: self.harness.round().saturating_sub(bootstrap_rounds),
-            maintenance: Some(MaintenanceOutcome {
-                report,
-                metrics_summary: self.harness.metrics_summary(),
-                metrics: match spec_metrics {
-                    MetricsMode::Full => Some(self.harness.metrics().clone()),
-                    MetricsMode::Streaming => None,
-                },
-                max_connect_load,
-                // The round engine has no network model, so there are no
-                // loss/delay/bridge counters to report — and no delivery
-                // boundary, so no fault counters either.
-                net_stats: None,
-                fault_stats: None,
-            }),
-            baseline: None,
-            routing: None,
-            sampling: None,
-        }
+        // The round engine has no network model and no delivery boundary,
+        // so there are no network or fault counters to report.
+        maintenance_outcome(spec, &self.harness, None, None)
     }
 }
 

@@ -1,49 +1,64 @@
-//! The round-synchronous simulation engine.
+//! The scheduler core shared by every execution engine.
 //!
-//! The engine realizes the model of Section 1.1 exactly:
+//! The core realizes the model of Section 1.1:
 //!
 //! * time proceeds in synchronous rounds;
 //! * at the beginning of round `t` the adversary removes `O_t ⊂ V_{t-1}` (those
 //!   nodes receive none of this round's messages) and proposes joins `J_t`,
 //!   each via a bootstrap node that has been in the network for at least
 //!   `min_bootstrap_age` rounds;
-//! * every surviving node then receives all messages addressed to it that were
-//!   sent in round `t - 1`, computes, and sends messages that arrive in `t+1`;
+//! * every surviving node then receives the messages delivered to it, computes,
+//!   and sends;
 //! * the communication graph `G_t` (who messaged whom) is archived and exposed
 //!   to the adversary with lateness `a`, node-state digests with lateness `b`.
 //!
+//! Every round runs the same four phases — churn → deliver → compute →
+//! collect — in one [`Engine`]. What differs between the schedulers is only
+//! *how a message travels* from the collect phase of one round to the deliver
+//! phase of a later one, and that is a [`Delivery`] policy:
+//!
+//! * [`NextRound`] — the round engine ([`Simulator`]): every message sent in
+//!   round `t` is read in round `t + 1`;
+//! * `tsa-event`'s `Queued` — a calendar queue under per-message latency,
+//!   loss and fault injection on a virtual clock;
+//! * `tsa-net`'s `Sockets` — real frames over loopback TCP on a wall clock.
+//!
+//! The policy routes each node's outbox during the sequential collect, in
+//! id order, so sequence numbers, fates and fault decisions are assigned in
+//! exactly the same order whether the compute phase ran on one thread or
+//! many.
+//!
 //! # Hot-path design
 //!
-//! The round loop is engineered to perform **no steady-state heap
-//! allocation** and to run its compute phase **in parallel** without changing
-//! a single output bit (see the "Performance model" chapter of DESIGN.md):
+//! The round loop performs **no steady-state heap allocation** and runs its
+//! compute phase **in parallel** without changing a single output bit (see
+//! the "Performance model" chapter of DESIGN.md):
 //!
 //! * node slots live in a `Vec` sorted by identifier (identifiers are
 //!   assigned monotonically, so joins append in order and the sort is free);
-//! * message delivery groups the in-flight buffer by receiver with a stable
-//!   counting scatter (count → prefix-sum → move into the second buffer) and
-//!   hands every node a contiguous *slice* of it — no per-node inbox vectors
-//!   and no sort scratch;
+//! * delivery groups the policy's batch (in global send order) by receiver
+//!   with a stable counting scatter (count → prefix-sum → move into the
+//!   second buffer) and hands every node a contiguous *slice* of it — no
+//!   per-node inbox vectors and no sort scratch;
 //! * every node owns a reusable outbox buffer that is re-wrapped via
 //!   [`Outbox::from_vec`](crate::Outbox::from_vec) each round; departing
 //!   nodes donate their buffers to a spare pool that joining nodes draw from;
-//! * the in-flight queue is double-buffered: next-round messages are drained
-//!   into the second buffer and the two are swapped;
 //! * round records (communication graphs, digests) trimmed out of a bounded
 //!   history window are recycled as the scratch for new rounds;
 //! * the compute phase runs on [`rayon::for_each_index_mut`], a work-stealing
 //!   loop at node granularity whose worker count follows the
 //!   `TSA_THREADS` / [`rayon::with_thread_cap`] budget, so sweep workers and
-//!   the simulator never multiply into `workers × cores` threads. Per-node
+//!   the engine never multiply into `workers × cores` threads. Per-node
 //!   RNG streams depend only on `(seed, node, round)`, which makes parallel
 //!   and sequential execution bit-for-bit identical.
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
 use tsa_obs::ObsHandle;
 
 use crate::adversary::Adversary;
-use crate::churn::{apply_churn_plan, ChurnBudget, ChurnOutcome, ChurnPlan, PlanScratch};
+use crate::churn::{apply_churn_plan, ChurnBudget, ChurnOutcome, PlanScratch};
 use crate::config::SimConfig;
 use crate::ids::{NodeId, Round};
 use crate::knowledge::{CommGraph, KnowledgeView, MemberInfo, RoundRecord};
@@ -54,17 +69,142 @@ use crate::metrics::{
 };
 use crate::node::{run_activation, ProtocolStep};
 
+/// Rounds with fewer work items (nodes or delivered messages) than this run
+/// their compute phase serially no matter the thread budget: the scoped
+/// workers cost tens of microseconds to spawn and join, which would dominate
+/// a round with little to do (the budget can change wall-clock only, never
+/// an output bit, so this gate is free to be a heuristic).
+pub const PARALLEL_WORK_THRESHOLD: usize = 2048;
+
+/// The observability span names of one scheduler's phases.
+#[derive(Clone, Copy, Debug)]
+pub struct PhaseSpans {
+    /// The churn phase.
+    pub churn: &'static str,
+    /// The deliver phase (the policy's batch, the scatter, sponsorships).
+    pub deliver: &'static str,
+    /// The compute phase; `None` folds it into the collect span.
+    pub compute: Option<&'static str>,
+    /// The collect phase (metrics, comm graph, routing every outbox).
+    pub collect: &'static str,
+}
+
+/// How messages travel from the round that sends them to the round that
+/// reads them — the one thing the schedulers do differently.
+///
+/// The [`Engine`] calls the hooks in a fixed order each round:
+/// [`begin_round`](Self::begin_round), then [`depart`](Self::depart) /
+/// [`join`](Self::join) for the churn it applies, then
+/// [`deliver`](Self::deliver) and [`undeliverable`](Self::undeliverable),
+/// then — after the compute phase — [`route`](Self::route) once per node in
+/// id order, and finally [`end_round`](Self::end_round).
+pub trait Delivery<P: ProtocolStep>: Sized {
+    /// The scheduler's configuration: the shared [`SimConfig`] plus whatever
+    /// the policy needs.
+    type Config;
+
+    /// The scheduler's phase span names.
+    const SPANS: PhaseSpans;
+
+    /// Splits a configuration into the shared part and the policy.
+    fn build(config: Self::Config) -> (SimConfig, Self);
+
+    /// Round `t` starts (before churn).
+    fn begin_round(&mut self, _t: Round) {}
+
+    /// Node `id` became a member (a genesis node or an accepted joiner).
+    fn join(&mut self, _id: NodeId) {}
+
+    /// Node `id` departed at the start of round `t`. Returns the number of
+    /// messages that die with it, charged as drops of round `t`.
+    fn depart(&mut self, _id: NodeId, _t: Round) -> usize {
+        0
+    }
+
+    /// Appends round `t`'s deliverable messages to `batch` in global send
+    /// order. Returns the number of messages the policy itself dropped.
+    fn deliver(&mut self, t: Round, batch: &mut Vec<Envelope<P::Msg>>) -> usize;
+
+    /// `count` messages of the batch found their receiver departed.
+    fn undeliverable(&mut self, _count: usize) {}
+
+    /// Takes node `from`'s round-`t` sends out of `out`. A policy that reads
+    /// every message one round later pushes them onto `next`, which becomes
+    /// round `t + 1`'s batch. Returns the number of messages lost on the way.
+    fn route(
+        &mut self,
+        t: Round,
+        from: NodeId,
+        out: &mut Vec<(NodeId, P::Msg)>,
+        next: &mut Vec<Envelope<P::Msg>>,
+        obs: &ObsHandle,
+    ) -> usize;
+
+    /// Round `t` ends, after its metrics row went to `obs`.
+    fn end_round(&mut self, _t: Round, _obs: &ObsHandle) {}
+
+    /// Messages the policy holds that no activation has read yet.
+    fn pending(&self) -> usize {
+        0
+    }
+
+    /// The region of node `id` under the policy's topology, if it has one.
+    fn region_of(&self, _id: NodeId) -> Option<u32> {
+        None
+    }
+}
+
+/// The round engine's delivery policy: every message sent in round `t` is
+/// read in round `t + 1`, through a double buffer (the collect phase fills
+/// the buffer the next deliver phase scatters).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NextRound;
+
+impl<P: ProtocolStep> Delivery<P> for NextRound {
+    type Config = SimConfig;
+
+    const SPANS: PhaseSpans = PhaseSpans {
+        churn: "sim.churn",
+        deliver: "sim.deliver",
+        compute: Some("sim.compute"),
+        collect: "sim.scatter",
+    };
+
+    fn build(config: SimConfig) -> (SimConfig, Self) {
+        (config, NextRound)
+    }
+
+    fn deliver(&mut self, _t: Round, _batch: &mut Vec<Envelope<P::Msg>>) -> usize {
+        // Last round's collect already filled the batch.
+        0
+    }
+
+    fn route(
+        &mut self,
+        t: Round,
+        from: NodeId,
+        out: &mut Vec<(NodeId, P::Msg)>,
+        next: &mut Vec<Envelope<P::Msg>>,
+        _obs: &ObsHandle,
+    ) -> usize {
+        for (to, payload) in out.drain(..) {
+            next.push(Envelope::new(from, to, t, payload));
+        }
+        0
+    }
+}
+
 /// A node in the engine: its protocol state plus per-round scratch that is
 /// reused across rounds (outbox buffer, inbox/sponsorship ranges, digest).
 struct NodeSlot<P: ProtocolStep> {
     id: NodeId,
     joined_at: Round,
     process: P,
-    /// Reusable outbox buffer; drained into the in-flight queue each round.
+    /// Reusable outbox buffer; routed by the policy each round.
     out: Vec<(NodeId, P::Msg)>,
     /// State digest captured at the end of the last compute phase.
     digest: u64,
-    /// This round's inbox: `in_flight[inbox_start..inbox_start + inbox_len]`.
+    /// This round's inbox: `inboxes[inbox_start..inbox_start + inbox_len]`.
     inbox_start: usize,
     inbox_len: usize,
     /// This round's sponsorships: a range of `sponsored_ids`.
@@ -79,27 +219,25 @@ struct NodeSlot<P: ProtocolStep> {
 /// nothing until somebody messages it); protocol-level configuration is fine.
 pub type NodeFactory<P> = Box<dyn Fn(NodeId, Round) -> P + Send>;
 
-/// The round-synchronous simulator.
+/// The scheduler core: membership, churn, delivery scatter, parallel
+/// compute, sequential collect, history and metrics — everything the
+/// schedulers share — over a [`Delivery`] policy `D`.
 ///
-/// The simulator is one of two *scheduler policies* over the same
-/// transport-agnostic node logic (any [`ProtocolStep`]): it activates every
-/// node once per round with the messages sent to it one round earlier. The
-/// virtual-time event engine of `tsa-event` schedules the identical protocol
-/// step under per-message latency instead.
-pub struct Simulator<P: ProtocolStep, A: Adversary> {
+/// The engine dereferences to its policy, so a policy's own accessors (queue
+/// depth, network counters, fault controls) read as engine methods.
+pub struct Engine<P: ProtocolStep, A: Adversary, D> {
     config: SimConfig,
     adversary: A,
     factory: NodeFactory<P>,
+    policy: D,
     /// Node slots, sorted by identifier (the append-only id sequence keeps
     /// joins in order; departures preserve order).
     slots: Vec<NodeSlot<P>>,
     members: BTreeMap<NodeId, MemberInfo>,
-    /// Messages sent last round, not yet delivered (sorted by receiver during
-    /// the delivery phase of the next step).
-    in_flight: Vec<Envelope<P::Msg>>,
-    /// Double buffer: next round's in-flight set is drained into this vector
-    /// and the two buffers are swapped at the end of the step.
-    next_in_flight: Vec<Envelope<P::Msg>>,
+    /// The messages the next deliver phase scatters, in global send order.
+    batch: Vec<Envelope<P::Msg>>,
+    /// This round's inboxes: the scattered batch, grouped by receiver.
+    inboxes: Vec<Envelope<P::Msg>>,
     /// Scratch: `(bootstrap, joiner)` pairs of the current round, sorted by
     /// bootstrap node.
     sponsored_pairs: Vec<(NodeId, NodeId)>,
@@ -108,7 +246,7 @@ pub struct Simulator<P: ProtocolStep, A: Adversary> {
     sponsored_ids: Vec<NodeId>,
     /// Outbox buffers donated by departed nodes, reused by joining nodes.
     spare_outboxes: Vec<Vec<(NodeId, P::Msg)>>,
-    /// Scratch: each in-flight envelope's receiver slot index (or the drop
+    /// Scratch: each batch envelope's receiver slot index (or the drop
     /// sentinel), computed during the delivery scatter.
     route_slots: Vec<usize>,
     /// Scratch: per-slot write cursors of the delivery scatter.
@@ -133,18 +271,38 @@ pub struct Simulator<P: ProtocolStep, A: Adversary> {
     last_outcome: ChurnOutcome,
 }
 
-impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
-    /// Creates an empty simulator. Populate the initial node set `V_0` with
-    /// [`Simulator::seed_nodes`] before stepping.
-    pub fn new(config: SimConfig, adversary: A, factory: NodeFactory<P>) -> Self {
-        Simulator {
+/// The round-synchronous simulator: the scheduler core under the
+/// [`NextRound`] policy.
+pub type Simulator<P, A> = Engine<P, A, NextRound>;
+
+impl<P: ProtocolStep, A: Adversary, D> Deref for Engine<P, A, D> {
+    type Target = D;
+
+    fn deref(&self) -> &D {
+        &self.policy
+    }
+}
+
+impl<P: ProtocolStep, A: Adversary, D> DerefMut for Engine<P, A, D> {
+    fn deref_mut(&mut self) -> &mut D {
+        &mut self.policy
+    }
+}
+
+impl<P: ProtocolStep, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
+    /// Creates an empty engine. Populate the initial node set `V_0` with
+    /// [`Engine::seed_nodes`] before stepping.
+    pub fn new(config: D::Config, adversary: A, factory: NodeFactory<P>) -> Self {
+        let (config, policy) = D::build(config);
+        Engine {
             config,
             adversary,
             factory,
+            policy,
             slots: Vec::new(),
             members: BTreeMap::new(),
-            in_flight: Vec::new(),
-            next_in_flight: Vec::new(),
+            batch: Vec::new(),
+            inboxes: Vec::new(),
             sponsored_pairs: Vec::new(),
             sponsored_ids: Vec::new(),
             spare_outboxes: Vec::new(),
@@ -170,22 +328,22 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
         let mut ids = Vec::with_capacity(count);
         self.slots.reserve(count);
         for _ in 0..count {
-            ids.push(self.spawn_node(self.round));
+            let id = NodeId(self.next_id);
+            self.next_id += 1;
+            self.members.insert(
+                id,
+                MemberInfo {
+                    joined_at: self.round,
+                },
+            );
+            self.spawn_slot(id, self.round);
+            ids.push(id);
         }
         ids
     }
 
-    fn spawn_node(&mut self, round: Round) -> NodeId {
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
-        self.members.insert(id, MemberInfo { joined_at: round });
-        self.spawn_slot(id, round);
-        id
-    }
-
     /// Materializes the engine-side slot (process + scratch) for a node that
-    /// is already a member — the engine half of a join applied by
-    /// [`apply_churn_plan`].
+    /// is already a member, and tells the policy.
     fn spawn_slot(&mut self, id: NodeId, round: Round) {
         let process = (self.factory)(id, round);
         let out = self.spare_outboxes.pop().unwrap_or_default();
@@ -200,6 +358,7 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
             sponsored_start: 0,
             sponsored_len: 0,
         });
+        self.policy.join(id);
     }
 
     /// The slot index of `id`, if it is a current member.
@@ -212,7 +371,7 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
         self.round
     }
 
-    /// The simulation configuration.
+    /// The shared simulation configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config
     }
@@ -235,11 +394,6 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
     /// Immutable access to a node's protocol state.
     pub fn node(&self, id: NodeId) -> Option<&P> {
         self.slot_index(id).map(|i| &self.slots[i].process)
-    }
-
-    /// Mutable access to a node's protocol state (tests and harnesses only).
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.slot_index(id).map(|i| &mut self.slots[i].process)
     }
 
     /// Iterates over `(id, protocol state)` pairs of all current members.
@@ -287,12 +441,6 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
         }
     }
 
-    /// The streaming accumulators, when running under
-    /// [`MetricsMode::Streaming`].
-    pub fn streaming_metrics(&self) -> Option<&StreamingMetrics> {
-        self.streaming.as_ref()
-    }
-
     /// Archived round records (communication graphs and digests).
     pub fn records(&self) -> &[RoundRecord] {
         &self.records
@@ -306,15 +454,40 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
             .map(|r| &r.graph)
     }
 
+    /// The region of node `id` under the policy's topology (`None` when the
+    /// policy has no regions).
+    pub fn region_of(&self, id: NodeId) -> Option<u32> {
+        self.policy.region_of(id)
+    }
+
+    /// Number of distinct directed edges in the most recent archived
+    /// communication graph that cross a region boundary of the policy's
+    /// topology — the quantity that shows whether the two halves of a
+    /// partition are still talking. 0 when the policy has no regions or
+    /// nothing is archived yet.
+    pub fn cross_region_edges(&self) -> usize {
+        self.records.last().map_or(0, |rec| {
+            rec.graph
+                .edges
+                .iter()
+                .filter(
+                    |&&(from, to)| match (self.region_of(from), self.region_of(to)) {
+                        (Some(a), Some(b)) => a != b,
+                        _ => false,
+                    },
+                )
+                .count()
+        })
+    }
+
     /// The churn outcome of the most recently executed round.
     pub fn last_churn_outcome(&self) -> &ChurnOutcome {
         &self.last_outcome
     }
 
-    /// Number of messages currently in flight (sent last round, not yet
-    /// delivered).
+    /// Number of messages sent but not yet read by any activation.
     pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
+        self.batch.len() + self.policy.pending()
     }
 
     /// The adversary, for post-run inspection.
@@ -332,10 +505,11 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
         }
     }
 
-    /// Executes a single round.
+    /// Executes a single round: churn → deliver → compute → collect.
     pub fn step(&mut self) {
         let t = self.round;
         let mut mb = RoundMetricsBuilder::new(t);
+        self.policy.begin_round(t);
 
         // Phase 1: adversarial churn (suppressed during the bootstrap phase).
         // The previous round's outcome buffers are recycled.
@@ -345,137 +519,69 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
         outcome.joined.clear();
         outcome.rejected_departures.clear();
         outcome.rejected_joins.clear();
+        let mut dropped = 0usize;
         if t >= self.config.churn_rules.bootstrap_rounds {
-            let remaining = self.budget.remaining(t, &self.config.churn_rules);
+            let rules = self.config.churn_rules;
             let plan = {
                 let view = KnowledgeView::new(
                     t,
                     self.config.lateness,
                     &self.records,
                     &self.members,
-                    remaining,
-                    self.config.churn_rules.min_bootstrap_age,
+                    self.budget.remaining(t, &rules),
+                    rules.min_bootstrap_age,
                 );
                 self.adversary.plan(t, &view)
             };
-            self.apply_plan(t, plan, &mut outcome);
+            // The shared arbiter validates the plan against budget and join
+            // rules and updates the membership; the engine half follows:
+            // departed slots donate their outbox buffers to the spare pool,
+            // accepted joiners get fresh slots.
+            apply_churn_plan(
+                t,
+                plan,
+                &rules,
+                &mut self.budget,
+                &mut self.members,
+                &mut self.next_id,
+                &mut self.plan_scratch,
+                &mut outcome,
+            );
+            for &id in outcome.departed.iter() {
+                let idx = self.slot_index(id).expect("departed node has a slot");
+                let mut out = self.slots.remove(idx).out;
+                out.clear();
+                self.spare_outboxes.push(out);
+                dropped += self.policy.depart(id, t);
+            }
+            for &(id, _bootstrap) in outcome.joined.iter() {
+                self.spawn_slot(id, t);
+            }
         }
         mb.record_churn(outcome.departed.len(), outcome.joined.len());
-        self.obs.span_end("sim.churn", span);
+        self.obs.span_end(D::SPANS.churn, span);
 
-        // Phase 2: deliver messages sent in round t-1 to surviving receivers,
-        // as a stable counting scatter: locate each envelope's receiver slot
-        // (binary search), prefix-sum the counts into per-slot ranges, then
-        // move every delivered envelope into its range in the second buffer
-        // and swap. Each node's inbox is then one contiguous slice, grouped
-        // in slot (= id) order with sender order preserved within each group
-        // — exactly what a stable sort by receiver would produce, but with
-        // no sort scratch: a `sort_by_key` here would heap-allocate its
-        // merge buffer every round.
+        // Phase 2: deliver the policy's batch to surviving receivers, then
+        // hand every bootstrap node the joiners it sponsored.
         let span = self.obs.span_start();
-        for slot in self.slots.iter_mut() {
-            slot.inbox_start = 0;
-            slot.inbox_len = 0;
-            slot.sponsored_start = 0;
-            slot.sponsored_len = 0;
-        }
-        let mut dropped = 0usize;
-        const DROP: usize = usize::MAX;
-        self.route_slots.clear();
-        for env in self.in_flight.iter() {
-            match self.slots.binary_search_by_key(&env.to, |s| s.id) {
-                Ok(idx) => {
-                    self.slots[idx].inbox_len += 1;
-                    self.route_slots.push(idx);
-                }
-                Err(_) => {
-                    dropped += 1;
-                    self.route_slots.push(DROP);
-                }
-            }
-        }
-        let mut delivered = 0usize;
-        self.route_cursors.clear();
-        for slot in self.slots.iter_mut() {
-            slot.inbox_start = delivered;
-            self.route_cursors.push(delivered);
-            delivered += slot.inbox_len;
-        }
-        self.next_in_flight.clear();
-        self.next_in_flight.reserve(delivered);
-        {
-            let spare = self.next_in_flight.spare_capacity_mut();
-            for (env, &slot_idx) in self.in_flight.drain(..).zip(self.route_slots.iter()) {
-                if slot_idx == DROP {
-                    continue; // receiver departed before delivery
-                }
-                let cursor = &mut self.route_cursors[slot_idx];
-                spare[*cursor].write(env);
-                *cursor += 1;
-            }
-        }
-        // SAFETY: the prefix sums partition 0..delivered into disjoint
-        // per-slot ranges; every non-dropped envelope was written through
-        // exactly one cursor, and each cursor advanced exactly `inbox_len`
-        // times within its slot's range — so all `delivered` spare elements
-        // are initialized.
-        unsafe {
-            self.next_in_flight.set_len(delivered);
-        }
-        std::mem::swap(&mut self.in_flight, &mut self.next_in_flight);
-        mb.record_dropped(dropped);
-
-        // Sponsored joiners, grouped contiguously by bootstrap node (the
-        // stable sort keeps joiners in join order within each bootstrap).
-        self.sponsored_pairs.clear();
-        self.sponsored_pairs.extend(
-            outcome
-                .joined
-                .iter()
-                .map(|&(joiner, bootstrap)| (bootstrap, joiner)),
-        );
-        self.sponsored_pairs
-            .sort_by_key(|&(bootstrap, _)| bootstrap);
-        self.sponsored_ids.clear();
-        self.sponsored_ids
-            .extend(self.sponsored_pairs.iter().map(|&(_, joiner)| joiner));
-        {
-            let mut s = 0usize;
-            let mut k = 0usize;
-            while k < self.sponsored_pairs.len() {
-                let bootstrap = self.sponsored_pairs[k].0;
-                let run_start = k;
-                while k < self.sponsored_pairs.len() && self.sponsored_pairs[k].0 == bootstrap {
-                    k += 1;
-                }
-                while s < self.slots.len() && self.slots[s].id < bootstrap {
-                    s += 1;
-                }
-                if s < self.slots.len() && self.slots[s].id == bootstrap {
-                    self.slots[s].sponsored_start = run_start;
-                    self.slots[s].sponsored_len = k - run_start;
-                }
-            }
-        }
-
+        dropped += self.policy.deliver(t, &mut self.batch);
+        let undeliverable = self.scatter();
+        self.policy.undeliverable(undeliverable);
+        dropped += undeliverable;
+        self.group_sponsored(&outcome.joined);
         mb.record_node_count(self.slots.len());
-        self.obs.span_end("sim.deliver", span);
+        self.obs.span_end(D::SPANS.deliver, span);
 
         // Phase 3: compute. Every node steps exactly once; its RNG stream
         // depends only on (seed, id, round), so parallel and sequential
         // execution produce identical results. Work is stolen at node
         // granularity; the worker count honours the TSA_THREADS /
         // with_thread_cap budget so nested parallelism (e.g. under a sweep
-        // worker) stays within the machine. Tiny rounds run serially no
-        // matter the budget: the scoped workers cost tens of microseconds to
-        // spawn and join, which would dominate a round with little to do
-        // (the budget can change wall-clock only, never an output bit, so
-        // this gate is free to be a heuristic).
-        const PARALLEL_WORK_THRESHOLD: usize = 2048;
+        // worker) stays within the machine.
         let seed = self.config.seed;
         let hash_seed = self.config.hash_seed;
         let record_digests = self.config.record_digests;
-        let work_items = self.slots.len().max(self.in_flight.len());
+        let work_items = self.slots.len().max(self.inboxes.len());
         let threads = if self.config.parallel && work_items >= PARALLEL_WORK_THRESHOLD {
             rayon::current_num_threads()
         } else {
@@ -483,10 +589,10 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
         };
         let span = self.obs.span_start();
         {
-            let in_flight = &self.in_flight;
+            let inboxes = &self.inboxes;
             let sponsored_ids = &self.sponsored_ids;
             rayon::for_each_index_mut(&mut self.slots, threads, |_, slot| {
-                let inbox = &in_flight[slot.inbox_start..slot.inbox_start + slot.inbox_len];
+                let inbox = &inboxes[slot.inbox_start..slot.inbox_start + slot.inbox_len];
                 let sponsored =
                     &sponsored_ids[slot.sponsored_start..slot.sponsored_start + slot.sponsored_len];
                 let (out, digest) = run_activation(
@@ -505,29 +611,29 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
                 slot.digest = digest;
             });
         }
-        self.obs.span_end("sim.compute", span);
+        let span = match D::SPANS.compute {
+            Some(name) => {
+                self.obs.span_end(name, span);
+                self.obs.span_start()
+            }
+            None => span,
+        };
 
-        // Phase 4: drain outboxes into the next round's in-flight buffer,
-        // record the communication graph and per-node metrics. All buffers
-        // (double-buffered queue, dedup scratch, recycled round records) are
-        // reused, so the steady state allocates nothing.
-        let span = self.obs.span_start();
+        // Phase 4: collect, sequentially in id order: record the
+        // communication graph and per-node metrics, and let the policy
+        // route every outbox. All buffers are reused, so the steady state
+        // allocates nothing.
         let mut rec = self.spare_records.pop().unwrap_or_default();
         rec.graph.round = t;
-        rec.graph.edges.clear();
-        rec.graph.members.clear();
-        rec.digests.clear();
-        self.next_in_flight.clear();
+        let mut lost = 0usize;
         {
-            let next_in_flight = &mut self.next_in_flight;
             let scratch = &mut self.dedup_scratch;
             let obs = &self.obs;
             let obs_on = obs.is_on();
             for slot in self.slots.iter_mut() {
                 mb.record_received(slot.id, slot.inbox_len);
                 if obs_on {
-                    // Per-node inbox sizes: a deterministic function of the
-                    // protocol (delivery is exhaustive in rounds mode).
+                    // Per-node inbox sizes: messages this activation read.
                     obs.observe("proto.inbox_len", slot.inbox_len as u64);
                 }
                 scratch.clear();
@@ -541,16 +647,131 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
                 if record_digests {
                     rec.digests.push((slot.id, slot.digest));
                 }
-                for (to, payload) in slot.out.drain(..) {
-                    next_in_flight.push(Envelope::new(slot.id, to, t, payload));
-                }
+                lost += self
+                    .policy
+                    .route(t, slot.id, &mut slot.out, &mut self.batch, obs);
                 rec.graph.members.push(slot.id);
             }
         }
-        std::mem::swap(&mut self.in_flight, &mut self.next_in_flight);
+        // Receiver-departed drops are charged to the delivery round, losses
+        // on the way to the sending round.
+        mb.record_dropped(dropped + lost);
         rec.graph.edges.sort_unstable();
         rec.graph.edges.dedup();
+        self.archive(rec);
+        self.obs.span_end(D::SPANS.collect, span);
 
+        let row = mb.finish();
+        if self.obs.is_on() {
+            record_round_obs(&self.obs, &row);
+        }
+        self.policy.end_round(t, &self.obs);
+        match &mut self.streaming {
+            Some(s) => s.push(row),
+            None => self.metrics.push(row),
+        }
+        self.last_outcome = outcome;
+        self.round += 1;
+    }
+
+    /// Moves the batch into `inboxes` as a stable counting scatter: locate
+    /// each envelope's receiver slot (binary search), prefix-sum the counts
+    /// into per-slot ranges, then move every delivered envelope into its
+    /// range. Each node's inbox is then one contiguous slice, grouped in
+    /// slot (= id) order with send order preserved within each group —
+    /// exactly what a stable sort by receiver would produce, but with no
+    /// sort scratch. Returns the number of envelopes whose receiver is no
+    /// longer a member.
+    fn scatter(&mut self) -> usize {
+        const DROP: usize = usize::MAX;
+        for slot in self.slots.iter_mut() {
+            slot.inbox_len = 0;
+        }
+        let mut dropped = 0usize;
+        self.route_slots.clear();
+        for env in self.batch.iter() {
+            match self.slots.binary_search_by_key(&env.to, |s| s.id) {
+                Ok(idx) => {
+                    self.slots[idx].inbox_len += 1;
+                    self.route_slots.push(idx);
+                }
+                Err(_) => {
+                    dropped += 1;
+                    self.route_slots.push(DROP);
+                }
+            }
+        }
+        let mut delivered = 0usize;
+        self.route_cursors.clear();
+        for slot in self.slots.iter_mut() {
+            slot.inbox_start = delivered;
+            self.route_cursors.push(delivered);
+            delivered += slot.inbox_len;
+        }
+        self.inboxes.clear();
+        self.inboxes.reserve(delivered);
+        {
+            let spare = self.inboxes.spare_capacity_mut();
+            for (env, &slot_idx) in self.batch.drain(..).zip(self.route_slots.iter()) {
+                if slot_idx == DROP {
+                    continue; // receiver departed before delivery
+                }
+                let cursor = &mut self.route_cursors[slot_idx];
+                spare[*cursor].write(env);
+                *cursor += 1;
+            }
+        }
+        // SAFETY: the prefix sums partition 0..delivered into disjoint
+        // per-slot ranges; every non-dropped envelope was written through
+        // exactly one cursor, and each cursor advanced exactly `inbox_len`
+        // times within its slot's range — so all `delivered` spare elements
+        // are initialized.
+        unsafe {
+            self.inboxes.set_len(delivered);
+        }
+        dropped
+    }
+
+    /// Groups this round's joiners contiguously by bootstrap node (the
+    /// stable sort keeps joiners in join order within each bootstrap) and
+    /// points every bootstrap slot at its range.
+    fn group_sponsored(&mut self, joined: &[(NodeId, NodeId)]) {
+        for slot in self.slots.iter_mut() {
+            slot.sponsored_start = 0;
+            slot.sponsored_len = 0;
+        }
+        self.sponsored_pairs.clear();
+        self.sponsored_pairs.extend(
+            joined
+                .iter()
+                .map(|&(joiner, bootstrap)| (bootstrap, joiner)),
+        );
+        self.sponsored_pairs
+            .sort_by_key(|&(bootstrap, _)| bootstrap);
+        self.sponsored_ids.clear();
+        self.sponsored_ids
+            .extend(self.sponsored_pairs.iter().map(|&(_, joiner)| joiner));
+        let mut s = 0usize;
+        let mut k = 0usize;
+        while k < self.sponsored_pairs.len() {
+            let bootstrap = self.sponsored_pairs[k].0;
+            let run_start = k;
+            while k < self.sponsored_pairs.len() && self.sponsored_pairs[k].0 == bootstrap {
+                k += 1;
+            }
+            while s < self.slots.len() && self.slots[s].id < bootstrap {
+                s += 1;
+            }
+            if s < self.slots.len() && self.slots[s].id == bootstrap {
+                self.slots[s].sponsored_start = run_start;
+                self.slots[s].sponsored_len = k - run_start;
+            }
+        }
+    }
+
+    /// Archives a finished round's record, trimming the history window and
+    /// recycling trimmed records as scratch.
+    fn archive(&mut self, rec: RoundRecord) {
         self.records.push(rec);
         if let Some(window) = self.config.history_window {
             while self.records.len() > window {
@@ -561,51 +782,6 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
                 self.spare_records.push(old);
             }
         }
-        self.obs.span_end("sim.scatter", span);
-
-        let row = mb.finish();
-        if self.obs.is_on() {
-            record_round_obs(&self.obs, &row);
-        }
-        match &mut self.streaming {
-            Some(s) => s.push(row),
-            None => self.metrics.push(row),
-        }
-        self.last_outcome = outcome;
-        self.round += 1;
-    }
-
-    /// Applies a churn plan through the shared arbiter
-    /// ([`apply_churn_plan`] validates it against budget and join rules and
-    /// updates the membership), then materializes the engine half: departed
-    /// slots are removed (donating their outbox buffers to the spare pool)
-    /// and accepted joiners get fresh slots. Results are accumulated into
-    /// `outcome` (a recycled buffer).
-    fn apply_plan(&mut self, t: Round, plan: ChurnPlan, outcome: &mut ChurnOutcome) {
-        let rules = self.config.churn_rules;
-        apply_churn_plan(
-            t,
-            plan,
-            &rules,
-            &mut self.budget,
-            &mut self.members,
-            &mut self.next_id,
-            &mut self.plan_scratch,
-            outcome,
-        );
-        for &id in outcome.departed.iter() {
-            let slot_idx = self
-                .slots
-                .binary_search_by_key(&id, |s| s.id)
-                .expect("departed node has a slot");
-            let slot = self.slots.remove(slot_idx);
-            let mut out = slot.out;
-            out.clear();
-            self.spare_outboxes.push(out);
-        }
-        for &(id, _bootstrap) in outcome.joined.iter() {
-            self.spawn_slot(id, t);
-        }
     }
 }
 
@@ -613,7 +789,7 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
 mod tests {
     use super::*;
     use crate::adversary::NullAdversary;
-    use crate::churn::{ChurnRules, JoinPlan};
+    use crate::churn::{ChurnPlan, ChurnRules, JoinPlan};
     use crate::knowledge::Lateness;
     use crate::node::{Ctx, Process};
 
@@ -721,8 +897,8 @@ mod tests {
         s.run(3);
         let caps = |s: &Simulator<Ping, NullAdversary>| {
             (
-                s.in_flight.capacity(),
-                s.next_in_flight.capacity(),
+                s.batch.capacity(),
+                s.inboxes.capacity(),
                 s.dedup_scratch.capacity(),
                 s.slots
                     .iter()

@@ -15,8 +15,10 @@
 //! * per-round message, congestion and degree metrics.
 //!
 //! Protocols implement [`Process`]; adversary strategies implement
-//! [`Adversary`]. The engine ([`Simulator`]) wires them together and enforces
-//! both the adversary's knowledge limits and its churn budget.
+//! [`Adversary`]. The scheduler core ([`Engine`]) wires them together and
+//! enforces both the adversary's knowledge limits and its churn budget; a
+//! [`Delivery`] policy decides how messages travel between rounds, and the
+//! round-synchronous [`Simulator`] is the core under [`NextRound`].
 //!
 //! ```
 //! use tsa_sim::prelude::*;
@@ -59,7 +61,9 @@ pub use churn::{
     apply_churn_plan, ChurnBudget, ChurnOutcome, ChurnPlan, ChurnRules, JoinPlan, PlanScratch,
 };
 pub use config::SimConfig;
-pub use engine::{NodeFactory, Simulator};
+pub use engine::{
+    Delivery, Engine, NextRound, NodeFactory, PhaseSpans, Simulator, PARALLEL_WORK_THRESHOLD,
+};
 pub use ids::{parity, NodeId, Round, RoundParity};
 pub use knowledge::{CommGraph, KnowledgeView, Lateness, MemberInfo, RoundRecord};
 pub use message::{Envelope, Outbox};

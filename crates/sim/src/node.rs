@@ -224,10 +224,9 @@ impl<P: Process> ProtocolStep for P {
 }
 
 /// Runs one node activation — the single protocol step shared by every
-/// execution engine. The round engine's parallel compute phase and the event
-/// engine's boundary activations both call exactly this, which is what makes
-/// the two engines scheduler policies over the *same* protocol rather than
-/// two protocol copies.
+/// execution engine. The scheduler core's compute phase calls exactly this
+/// under every delivery policy, which is what makes the engines scheduler
+/// policies over the *same* protocol rather than protocol copies.
 ///
 /// `out` is a recycled buffer (cleared on wrap) that becomes the activation's
 /// outbox; the emitted `(receiver, payload)` pairs are returned together with
