@@ -661,6 +661,18 @@ mod tests {
         // A small overlay, bootstrap plus a few maintained rounds, entirely
         // over loopback sockets: the protocol must come out routable, and
         // real frames must have moved.
+        //
+        // A round must outlast the coordinator's own work in it (compute,
+        // then encoding and writing up to ~20k frames): up to about 80 ms
+        // optimised and about 1 s unoptimised on 2 busy cores. Otherwise the
+        // barrier never sleeps, every boundary reads the poller's backlog a
+        // round late, and now and then enough late CREATEs collapse an
+        // epoch's rebuild.
+        let round = if cfg!(debug_assertions) {
+            Duration::from_millis(1500)
+        } else {
+            Duration::from_millis(250)
+        };
         let params = MaintenanceParams::new(16)
             .with_c(1.5)
             .with_tau(4)
@@ -671,7 +683,7 @@ mod tests {
             17,
             params.paper_churn_rules(),
             params.paper_lateness(),
-            Duration::from_millis(15),
+            round,
         );
         h.run_bootstrap();
         h.run(4);

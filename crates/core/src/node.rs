@@ -194,22 +194,13 @@ impl ProtocolNode {
             return Vec::new();
         };
         let own = self.own_position(ctx, epoch);
-        let list_r = self.params.overlay.list_radius();
-        let db_r = self.params.overlay.debruijn_radius();
-        let own_half = own / 2.0;
-        let own_half_plus = (own + 1.0) / 2.0;
         let mut out = Vec::new();
         for &v in genesis.iter() {
             if v == ctx.id() {
                 continue;
             }
             let p = ctx.position_hash(v, epoch);
-            if ring_distance(p, own) <= list_r
-                || ring_distance(p, own_half) <= db_r
-                || ring_distance(p, own_half_plus) <= db_r
-                || ring_distance(own, p / 2.0) <= db_r
-                || ring_distance(own, (p + 1.0) / 2.0) <= db_r
-            {
+            if self.are_neighbors(own, p) {
                 out.push((v, p));
             }
         }
@@ -306,7 +297,6 @@ impl ProtocolNode {
     ) {
         let lambda = self.params.lambda();
         let swarm_r = self.params.swarm_radius();
-        let replication = self.params.replication;
 
         // (1) Assemble this epoch's neighbour set from the CREATE messages
         //     (or from genesis knowledge during the bootstrap phase).
@@ -337,57 +327,38 @@ impl ProtocolNode {
 
         // (2) Advance in-flight route messages (forwarding step) and deliver
         //     completed ones. Deduplicate copies of the same logical message.
-        let mut seen: HashSet<(u8, NodeId, u64, u32)> = HashSet::new();
-        let mut announce_out: Vec<(NodeId, u64, f64)> = Vec::new();
-        let mut forward_out: Vec<(NodeId, ProtocolMsg)> = Vec::new();
+        let mut seen: HashSet<RouteKey> = HashSet::new();
+        let mut announcements: Vec<(NodeId, u64, f64)> = Vec::new();
         let mut token_deliveries: Vec<(NodeId, NodeId)> = Vec::new();
-
         for env in inbox {
+            let Some((key, _)) = route_copy(&env.payload) else {
+                continue;
+            };
+            self.stats.route_copies_received += 1;
+            if !participating || !seen.insert(key) {
+                continue;
+            }
+            // The key's last field is the copy's trajectory step.
+            let delivered = key.3 >= lambda;
             match env.payload {
                 ProtocolMsg::RouteJoin {
-                    node,
-                    target_epoch,
-                    step,
-                    point,
+                    node, target_epoch, ..
                 } => {
-                    self.stats.route_copies_received += 1;
-                    if !participating || !seen.insert((0, node, target_epoch, step)) {
-                        continue;
-                    }
                     let target = ctx.position_hash(node, target_epoch);
-                    if step >= lambda {
+                    if delivered {
                         // Delivered: spread the announcement (Listing 3 line 10).
-                        announce_out.push((node, target_epoch, target));
+                        announcements.push((node, target_epoch, target));
                     } else {
-                        let bit = self.target_bit(target, step + 1);
-                        let next_point = (point + bit as f64) / 2.0;
-                        let candidates = self.current_members_near(ctx, epoch, next_point, swarm_r);
-                        let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
-                        for to in chosen {
-                            forward_out.push((
-                                to,
-                                ProtocolMsg::RouteJoin {
-                                    node,
-                                    target_epoch,
-                                    step: step + 1,
-                                    point: next_point,
-                                },
-                            ));
-                        }
+                        self.forward(ctx, epoch, env.payload, target);
                     }
                 }
                 ProtocolMsg::RouteToken {
                     owner,
                     delta,
                     target,
-                    step,
-                    point,
+                    ..
                 } => {
-                    self.stats.route_copies_received += 1;
-                    if !participating || !seen.insert((1, owner, delta as u64, step)) {
-                        continue;
-                    }
-                    if step >= lambda {
+                    if delivered {
                         // Sampling delivery rule (Listing 2): pick the swarm
                         // member with exactly `delta` members clockwise
                         // between the target point and itself.
@@ -398,22 +369,7 @@ impl ProtocolNode {
                             token_deliveries.push((receiver, owner));
                         }
                     } else {
-                        let bit = self.target_bit(target, step + 1);
-                        let next_point = (point + bit as f64) / 2.0;
-                        let candidates = self.current_members_near(ctx, epoch, next_point, swarm_r);
-                        let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
-                        for to in chosen {
-                            forward_out.push((
-                                to,
-                                ProtocolMsg::RouteToken {
-                                    owner,
-                                    delta,
-                                    target,
-                                    step: step + 1,
-                                    point: next_point,
-                                },
-                            ));
-                        }
+                        self.forward(ctx, epoch, env.payload, target);
                     }
                 }
                 _ => {}
@@ -422,35 +378,33 @@ impl ProtocolNode {
 
         // Spread announcements to every current member responsible for the
         // announced position (Listing 3 line 10).
-        for (node, target_epoch, position) in &announce_out {
+        for (node, target_epoch, position) in announcements {
             self.stats.joins_delivered += 1;
             let mut receivers: Vec<NodeId> = Vec::new();
-            for (center, radius) in self.responsibility(*position) {
+            for (center, radius) in self.responsibility(position) {
                 receivers.extend(self.current_members_near(ctx, epoch, center, radius));
             }
             receivers.sort();
             receivers.dedup();
             for to in receivers {
-                forward_out.push((
+                ctx.send(
                     to,
                     ProtocolMsg::AnnounceJoin {
-                        node: *node,
-                        epoch: *target_epoch,
-                        position: *position,
+                        node,
+                        epoch: target_epoch,
+                        position,
                     },
-                ));
+                );
             }
         }
         for (to, owner) in token_deliveries {
-            forward_out.push((to, ProtocolMsg::Token { owner }));
-        }
-        for (to, msg) in forward_out {
-            ctx.send(to, msg);
+            ctx.send(to, ProtocolMsg::Token { owner });
         }
 
         // (3) Start new join requests for this node and every fresh node it
         //     currently sponsors (Listing 3 lines 14-17), plus the per-round
-        //     token emission of A_RANDOM (Listing 4).
+        //     token emission of A_RANDOM (Listing 4). A fresh request is a
+        //     step-0 copy at this node's own position.
         if participating && self.is_mature(ctx.round()) {
             let own = self.own_position(ctx, epoch);
             let target_epoch = epoch + lambda as u64 + 1;
@@ -459,23 +413,15 @@ impl ProtocolNode {
             joiners.sort();
             joiners.dedup();
             for node in joiners {
-                let target = ctx.position_hash(node, target_epoch);
-                let bit = self.target_bit(target, 1);
-                let next_point = (own + bit as f64) / 2.0;
-                let candidates = self.current_members_near(ctx, epoch, next_point, swarm_r);
-                let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
                 self.stats.joins_started += 1;
-                for to in chosen {
-                    ctx.send(
-                        to,
-                        ProtocolMsg::RouteJoin {
-                            node,
-                            target_epoch,
-                            step: 1,
-                            point: next_point,
-                        },
-                    );
-                }
+                let target = ctx.position_hash(node, target_epoch);
+                let request = ProtocolMsg::RouteJoin {
+                    node,
+                    target_epoch,
+                    step: 0,
+                    point: own,
+                };
+                self.forward(ctx, epoch, request, target);
             }
 
             // Token emission: τ tokens carrying this node's identifier, each
@@ -484,23 +430,39 @@ impl ProtocolNode {
             for _ in 0..self.params.tau {
                 let target: f64 = ctx.rng.gen();
                 let delta: u32 = ctx.rng.gen_range(0..=max_delta);
-                let bit = self.target_bit(target, 1);
-                let next_point = (own + bit as f64) / 2.0;
-                let candidates = self.current_members_near(ctx, epoch, next_point, swarm_r);
-                let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
-                for to in chosen {
-                    ctx.send(
-                        to,
-                        ProtocolMsg::RouteToken {
-                            owner: ctx.id(),
-                            delta,
-                            target,
-                            step: 1,
-                            point: next_point,
-                        },
-                    );
-                }
+                let token = ProtocolMsg::RouteToken {
+                    owner: ctx.id(),
+                    delta,
+                    target,
+                    step: 0,
+                    point: own,
+                };
+                self.forward(ctx, epoch, token, target);
             }
+        }
+    }
+
+    /// One forwarding step of `A_ROUTING` (Listing 1) on the current overlay:
+    /// the route copy `msg` at trajectory step `s` and point `p` moves to
+    /// point `(p + b) / 2`, where `b` is bit `s + 1` of `target`, and is sent
+    /// to up to `r` members of that point's swarm as a step-`s + 1` copy.
+    fn forward(
+        &self,
+        ctx: &mut Ctx<'_, ProtocolMsg>,
+        epoch: u64,
+        mut msg: ProtocolMsg,
+        target: f64,
+    ) {
+        let (ProtocolMsg::RouteJoin { step, point, .. }
+        | ProtocolMsg::RouteToken { step, point, .. }) = &mut msg
+        else {
+            return;
+        };
+        *step += 1;
+        *point = (*point + self.target_bit(target, *step) as f64) / 2.0;
+        let candidates = self.current_members_near(ctx, epoch, *point, self.params.swarm_radius());
+        for to in choose_up_to(&candidates, self.params.replication, &mut ctx.rng) {
+            ctx.send(to, msg);
         }
     }
 
@@ -515,7 +477,6 @@ impl ProtocolNode {
         epoch: u64,
     ) {
         let swarm_r = self.params.swarm_radius();
-        let replication = self.params.replication;
         let next_epoch = epoch + 1;
 
         // (1) Collect announcements into H_t.
@@ -538,64 +499,45 @@ impl ProtocolNode {
 
         // (2) Handover step: every route copy received this round moves to the
         //     next overlay's swarm at its current trajectory point.
-        let mut seen: HashSet<(u8, NodeId, u64, u32)> = HashSet::new();
-        let mut out: Vec<(NodeId, ProtocolMsg)> = Vec::new();
+        let mut seen: HashSet<RouteKey> = HashSet::new();
         for env in inbox {
-            let (key, point, msg) = match env.payload {
-                ProtocolMsg::RouteJoin {
-                    node,
-                    target_epoch,
-                    step,
-                    point,
-                } => ((0u8, node, target_epoch, step), point, env.payload),
-                ProtocolMsg::RouteToken {
-                    owner,
-                    delta,
-                    step,
-                    point,
-                    ..
-                } => ((1u8, owner, delta as u64, step), point, env.payload),
-                _ => continue,
+            let Some((key, point)) = route_copy(&env.payload) else {
+                continue;
             };
             self.stats.route_copies_received += 1;
             if !seen.insert(key) {
                 continue;
             }
             let candidates = self.next_members_near(ctx, next_epoch, point, swarm_r);
-            let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
-            for to in chosen {
-                out.push((to, msg));
+            for to in choose_up_to(&candidates, self.params.replication, &mut ctx.rng) {
+                ctx.send(to, env.payload);
             }
         }
 
         // (3) Introductions: for every pair of announced nodes that will be
         //     neighbours in D_{next_epoch}, send each of them the other's
         //     identifier and position (Listing 3 lines 25-26).
-        let entries = self.h_entries.clone();
-        for (i, &(v, pv)) in entries.iter().enumerate() {
-            for &(w, pw) in entries.iter().skip(i + 1) {
+        for (i, &(v, pv)) in self.h_entries.iter().enumerate() {
+            for &(w, pw) in self.h_entries.iter().skip(i + 1) {
                 if self.are_neighbors(pv, pw) {
-                    out.push((
+                    ctx.send(
                         w,
                         ProtocolMsg::Create {
                             node: v,
                             epoch: next_epoch,
                             position: pv,
                         },
-                    ));
-                    out.push((
+                    );
+                    ctx.send(
                         v,
                         ProtocolMsg::Create {
                             node: w,
                             epoch: next_epoch,
                             position: pw,
                         },
-                    ));
+                    );
                 }
             }
-        }
-        for (to, msg) in out {
-            ctx.send(to, msg);
         }
         self.h_entries.clear();
     }
@@ -820,6 +762,33 @@ impl Process for ProtocolNode {
     }
 }
 
+/// Identifies one logical route message, so that the replicas of it that
+/// different swarm members forward are handled once: the kind (0 = join,
+/// 1 = token), the routed node or token owner, the join's target epoch or
+/// the token's offset Δ, and the trajectory step.
+type RouteKey = (u8, NodeId, u64, u32);
+
+/// The dedup key (whose last field is the step) and the trajectory point of
+/// a `RouteJoin`/`RouteToken` copy; `None` for every other message.
+fn route_copy(msg: &ProtocolMsg) -> Option<(RouteKey, f64)> {
+    match *msg {
+        ProtocolMsg::RouteJoin {
+            node,
+            target_epoch,
+            step,
+            point,
+        } => Some(((0, node, target_epoch, step), point)),
+        ProtocolMsg::RouteToken {
+            owner,
+            delta,
+            step,
+            point,
+            ..
+        } => Some(((1, owner, delta as u64, step), point)),
+        _ => None,
+    }
+}
+
 /// Chooses up to `count` distinct elements of `candidates` uniformly at random.
 fn choose_up_to<R: Rng + ?Sized>(candidates: &[NodeId], count: usize, rng: &mut R) -> Vec<NodeId> {
     if candidates.len() <= count {
@@ -923,7 +892,7 @@ mod tests {
         let p = params();
         let g = genesis(64);
         let node = ProtocolNode::new(p, Some(g.clone()));
-        let ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 0, 0, &[], 7, 7);
+        let ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 0, &[], 7, 7);
         let neighbors = node.genesis_neighbors(&ctx, 0);
         assert!(!neighbors.is_empty(), "a genesis node must have neighbours");
         let own = ctx.position_hash(NodeId(0), 0);
@@ -968,7 +937,7 @@ mod tests {
     fn delta_select_orders_clockwise() {
         let p = params();
         let node = ProtocolNode::new(p, Some(genesis(4)));
-        let ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 0, 0, &[], 3, 3);
+        let ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 0, &[], 3, 3);
         // Build the member set from the hash positions themselves so ordering
         // is well-defined.
         let members: Vec<NodeId> = (0..4).map(NodeId).collect();
@@ -990,7 +959,7 @@ mod tests {
         let p = params();
         let g = genesis(64);
         let mut node = ProtocolNode::new(p, Some(g));
-        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 0, 0, &[], 11, 11);
+        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 0, &[], 11, 11);
         node.on_round(&mut ctx, &[]);
         assert_eq!(node.joined_at, Some(0));
         assert!(node.participates(0), "genesis node participates in epoch 0");
@@ -1004,7 +973,7 @@ mod tests {
     fn non_genesis_node_is_idle_until_contacted() {
         let p = params();
         let mut node = ProtocolNode::new(p, None);
-        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(99), 4, 4, &[], 11, 11);
+        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(99), 4, &[], 11, 11);
         node.on_round(&mut ctx, &[]);
         // No tokens, no neighbours: nothing can be sent yet.
         assert_eq!(ctx.queued(), 0);
@@ -1029,9 +998,9 @@ mod tests {
                 ProtocolMsg::Token { owner: NodeId(6) },
             ),
         ];
-        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(99), 4, 4, &[], 11, 11);
+        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(99), 4, &[], 11, 11);
         node.on_round(&mut ctx, &inbox);
-        let out = ctx.into_outbox().into_inner();
+        let out = ctx.into_outbox();
         let connects: Vec<&(NodeId, ProtocolMsg)> = out
             .iter()
             .filter(|(_, m)| matches!(m, ProtocolMsg::Connect { .. }))
@@ -1057,7 +1026,7 @@ mod tests {
             9,
             ProtocolMsg::Connect { node: NodeId(77) },
         )];
-        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 10, 0, &[], 11, 11);
+        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 10, &[], 11, 11);
         node.on_round(&mut ctx, &inbox);
         assert_eq!(node.snapshot(10).slots_used, 1);
         assert_eq!(node.snapshot(10).stats.connects_received, 1);
@@ -1071,9 +1040,9 @@ mod tests {
         node.joined_at = Some(0);
         node.tokens = vec![NodeId(3), NodeId(4), NodeId(5)];
         let sponsored = vec![NodeId(200)];
-        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 31, 0, &sponsored, 11, 11);
+        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 31, &sponsored, 11, 11);
         node.on_round(&mut ctx, &[]);
-        let out = ctx.into_outbox().into_inner();
+        let out = ctx.into_outbox();
         let tokens_to_newcomer = out
             .iter()
             .filter(|(to, m)| *to == NodeId(200) && matches!(m, ProtocolMsg::Token { .. }))
@@ -1087,5 +1056,166 @@ mod tests {
             connects_for_newcomer > 0,
             "the sponsor must announce the newcomer"
         );
+    }
+    /// Two copies of every message in `msgs`, from two different senders.
+    fn two_copies_each(
+        to: NodeId,
+        sent_at: Round,
+        msgs: &[ProtocolMsg],
+    ) -> Vec<Envelope<ProtocolMsg>> {
+        msgs.iter()
+            .flat_map(|&m| {
+                [
+                    Envelope::new(NodeId(1), to, sent_at, m),
+                    Envelope::new(NodeId(2), to, sent_at, m),
+                ]
+            })
+            .collect()
+    }
+
+    /// Asserts that the copies `is_copy` picks out of `out` went to at least
+    /// one and at most `r` receivers, each exactly once.
+    fn assert_forwarded_once(
+        out: &[(NodeId, ProtocolMsg)],
+        r: usize,
+        is_copy: impl Fn(&ProtocolMsg) -> bool,
+    ) {
+        let mut receivers: Vec<NodeId> = out
+            .iter()
+            .filter(|(_, m)| is_copy(m))
+            .map(|(to, _)| *to)
+            .collect();
+        assert!(!receivers.is_empty(), "the copy must be forwarded");
+        assert!(receivers.len() <= r, "{receivers:?} exceeds r = {r}");
+        receivers.sort();
+        receivers.dedup();
+        assert_eq!(
+            receivers.len(),
+            out.iter().filter(|(_, m)| is_copy(m)).count()
+        );
+    }
+
+    #[test]
+    fn even_round_forwards_replicated_route_copies_once() {
+        let p = params();
+        let mut node = ProtocolNode::new(p, Some(genesis(64)));
+        // Round 2 is the even round of genesis epoch 1.
+        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 2, &[], 11, 11);
+        let own = ctx.position_hash(NodeId(0), 1);
+        // A step-2 copy whose next trajectory point is this node's own
+        // position, so its swarm (which contains the node) is non-empty.
+        let at_own = |target: f64| 2.0 * own - node.target_bit(target, 3) as f64;
+        let join_target = ctx.position_hash(NodeId(42), 9);
+        let token_target = 0.6;
+        let inbox = two_copies_each(
+            NodeId(0),
+            1,
+            &[
+                ProtocolMsg::RouteJoin {
+                    node: NodeId(42),
+                    target_epoch: 9,
+                    step: 2,
+                    point: at_own(join_target),
+                },
+                ProtocolMsg::RouteToken {
+                    owner: NodeId(43),
+                    delta: 1,
+                    target: token_target,
+                    step: 2,
+                    point: at_own(token_target),
+                },
+            ],
+        );
+        node.on_round(&mut ctx, &inbox);
+        assert_eq!(node.stats.route_copies_received, 4);
+        let out = ctx.into_outbox();
+        let r = p.replication;
+        assert_forwarded_once(
+            &out,
+            r,
+            |m| matches!(m, ProtocolMsg::RouteJoin { node, step: 3, .. } if *node == NodeId(42)),
+        );
+        assert_forwarded_once(
+            &out,
+            r,
+            |m| matches!(m, ProtocolMsg::RouteToken { owner, step: 3, .. } if *owner == NodeId(43)),
+        );
+    }
+
+    #[test]
+    fn odd_round_hands_replicated_route_copies_over_once() {
+        let p = params();
+        let mut node = ProtocolNode::new(p, Some(genesis(64)));
+        // Round 3 hands epoch 1's copies over to genesis epoch 2; a point at
+        // node 5's epoch-2 position has a non-empty swarm.
+        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 3, &[], 11, 11);
+        let point = ctx.position_hash(NodeId(5), 2);
+        let inbox = two_copies_each(
+            NodeId(0),
+            2,
+            &[
+                ProtocolMsg::RouteJoin {
+                    node: NodeId(42),
+                    target_epoch: 9,
+                    step: 2,
+                    point,
+                },
+                ProtocolMsg::RouteToken {
+                    owner: NodeId(43),
+                    delta: 1,
+                    target: 0.6,
+                    step: 2,
+                    point,
+                },
+            ],
+        );
+        node.on_round(&mut ctx, &inbox);
+        assert_eq!(node.stats.route_copies_received, 4);
+        let out = ctx.into_outbox();
+        let r = p.replication;
+        assert_forwarded_once(
+            &out,
+            r,
+            |m| matches!(m, ProtocolMsg::RouteJoin { node, step: 2, .. } if *node == NodeId(42)),
+        );
+        assert_forwarded_once(
+            &out,
+            r,
+            |m| matches!(m, ProtocolMsg::RouteToken { owner, step: 2, .. } if *owner == NodeId(43)),
+        );
+    }
+
+    #[test]
+    fn a_route_join_at_step_lambda_is_announced_not_forwarded() {
+        let p = params();
+        let mut node = ProtocolNode::new(p, Some(genesis(64)));
+        let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 2, &[], 11, 11);
+        let own = ctx.position_hash(NodeId(0), 1);
+        // A joiner whose announced position this node is responsible for.
+        let joiner = (100..)
+            .map(NodeId)
+            .find(|&v| ring_distance(ctx.position_hash(v, 9), own) <= p.overlay.list_radius())
+            .expect("some identifier hashes next to this node");
+        let inbox = vec![Envelope::new(
+            NodeId(1),
+            NodeId(0),
+            1,
+            ProtocolMsg::RouteJoin {
+                node: joiner,
+                target_epoch: 9,
+                step: p.lambda(),
+                point: 0.5,
+            },
+        )];
+        node.on_round(&mut ctx, &inbox);
+        assert_eq!(node.stats.joins_delivered, 1);
+        let out = ctx.into_outbox();
+        assert!(out.iter().any(|(_, m)| matches!(
+            m,
+            ProtocolMsg::AnnounceJoin { node, epoch: 9, .. } if *node == joiner
+        )));
+        assert!(!out
+            .iter()
+            .any(|(_, m)| matches!(m, ProtocolMsg::RouteJoin { node, .. } if *node == joiner)));
     }
 }

@@ -42,7 +42,7 @@
 //! full argument.
 
 use tsa_obs::ObsHandle;
-use tsa_sim::{Delivery, Engine, Envelope, NodeId, PhaseSpans, ProtocolStep, Round, SimConfig};
+use tsa_sim::{Delivery, Engine, Envelope, NodeId, PhaseSpans, Process, Round, SimConfig};
 
 use crate::fault::{FaultAdapter, FaultDecision, FaultInjector, FaultPlan, FaultStats};
 use crate::model::{FateBlock, NetModel, Topology};
@@ -109,7 +109,7 @@ pub struct NetStats {
 /// The event engine's delivery policy: a calendar queue under per-message
 /// latency, jitter and loss drawn from a [`Topology`], plus optional fault
 /// injection and fate-trace recording or replay.
-pub struct Queued<P: ProtocolStep> {
+pub struct Queued<P: Process> {
     topology: Topology,
     ticks_per_round: u64,
     seed: u64,
@@ -152,7 +152,7 @@ pub struct Queued<P: ProtocolStep> {
 /// [`Queued`] policy.
 pub type EventSimulator<P, A> = Engine<P, A, Queued<P>>;
 
-impl<P: ProtocolStep> Queued<P> {
+impl<P: Process> Queued<P> {
     /// The current virtual time in ticks (the tick of the next boundary).
     pub fn virtual_time(&self) -> u64 {
         self.now
@@ -300,7 +300,7 @@ impl<P: ProtocolStep> Queued<P> {
     }
 }
 
-impl<P: ProtocolStep> Delivery<P> for Queued<P> {
+impl<P: Process> Delivery<P> for Queued<P> {
     type Config = EventConfig;
 
     const SPANS: PhaseSpans = PhaseSpans {

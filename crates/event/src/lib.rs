@@ -34,11 +34,10 @@
 //!
 //! [`EventSimulator`] is the scheduler core of `tsa-sim`
 //! ([`Engine`](tsa_sim::Engine)) under the [`Queued`] delivery policy, so it
-//! runs the *same* node logic — any [`ProtocolStep`](tsa_sim::ProtocolStep)
-//! (which every [`Process`](tsa_sim::Process) implements) — through the same
-//! churn, delivery, compute and collect code as the lockstep round engine:
-//! an event run whose delays never exceed one round reproduces it bit for
-//! bit.
+//! runs the *same* node logic — any [`Process`](tsa_sim::Process) — through
+//! the same churn, delivery, compute and collect code as the lockstep round
+//! engine: an event run whose delays never exceed one round reproduces it
+//! bit for bit.
 //!
 //! ```
 //! use tsa_event::{EventConfig, EventSimulator, LatencyModel, NetModel};

@@ -5,7 +5,7 @@
 //! [`NetRunner`] is the scheduler core of `tsa-sim`
 //! ([`Engine`]) under the [`Sockets`] delivery policy —
 //! the third policy over the workspace's transport-agnostic
-//! [`ProtocolStep`] node logic, after the lockstep round engine and the
+//! [`Process`] node logic, after the lockstep round engine and the
 //! virtual-time event engine, and the first one where messages travel as
 //! real bytes. Every node owns a loopback TCP listener; activations still
 //! happen on the synchronous cadence of the paper's model, but the cadence
@@ -49,7 +49,7 @@ use tsa_event::{
     NetStats, TICKS_PER_ROUND,
 };
 use tsa_obs::ObsHandle;
-use tsa_sim::{Delivery, Engine, Envelope, NodeId, PhaseSpans, ProtocolStep, Round, SimConfig};
+use tsa_sim::{Delivery, Engine, Envelope, NodeId, PhaseSpans, Process, Round, SimConfig};
 
 use crate::codec::{decode_wire_value, encode_wire_frame, FrameDecoder, DEFAULT_MAX_FRAME};
 
@@ -257,7 +257,7 @@ fn poll_loop<M: serde::Deserialize>(
 /// The transport's delivery policy: one loopback listener per node, frames
 /// written to per-link streams, a poller thread decoding them into a hub,
 /// and every message's fate recorded for twin replay.
-pub struct Sockets<P: ProtocolStep> {
+pub struct Sockets<P: Process> {
     round_duration: Duration,
     seed: u64,
     /// Listener addresses of live nodes, for the sender side.
@@ -298,7 +298,7 @@ pub type NetRunner<P, A> = Engine<P, A, Sockets<P>>;
 
 impl<P> Sockets<P>
 where
-    P: ProtocolStep,
+    P: Process,
     P::Msg: serde::Serialize + serde::Deserialize,
 {
     /// Network-effect counters, comparable with the event engine's: `sent`
@@ -384,7 +384,7 @@ where
 
 impl<P> Delivery<P> for Sockets<P>
 where
-    P: ProtocolStep,
+    P: Process,
     P::Msg: serde::Serialize + serde::Deserialize,
 {
     type Config = NetConfig;
@@ -616,7 +616,7 @@ where
     }
 }
 
-impl<P: ProtocolStep> Drop for Sockets<P> {
+impl<P: Process> Drop for Sockets<P> {
     fn drop(&mut self) {
         let _ = self.ctl.send(Ctl::Shutdown);
         if let Some(handle) = self.poller.take() {

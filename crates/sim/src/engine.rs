@@ -30,9 +30,10 @@
 //!
 //! # Hot-path design
 //!
-//! The round loop performs **no steady-state heap allocation** and runs its
-//! compute phase **in parallel** without changing a single output bit (see
-//! the "Performance model" chapter of DESIGN.md):
+//! The round loop's own buffers make **no steady-state heap allocation**
+//! (the protocol's activations may allocate), and it runs its compute phase
+//! **in parallel** without changing a single output bit (see the
+//! "Performance model" chapter of DESIGN.md):
 //!
 //! * node slots live in a `Vec` sorted by identifier (identifiers are
 //!   assigned monotonically, so joins append in order and the sort is free);
@@ -40,9 +41,9 @@
 //!   with a stable counting scatter (count → prefix-sum → move into the
 //!   second buffer) and hands every node a contiguous *slice* of it — no
 //!   per-node inbox vectors and no sort scratch;
-//! * every node owns a reusable outbox buffer that is re-wrapped via
-//!   [`Outbox::from_vec`](crate::Outbox::from_vec) each round; departing
-//!   nodes donate their buffers to a spare pool that joining nodes draw from;
+//! * every node owns a reusable outbox buffer that its [`Ctx`](crate::Ctx)
+//!   sends into each round; departing nodes donate their buffers to a spare
+//!   pool that joining nodes draw from;
 //! * round records (communication graphs, digests) trimmed out of a bounded
 //!   history window are recycled as the scratch for new rounds;
 //! * the compute phase runs on [`rayon::for_each_index_mut`], a work-stealing
@@ -67,7 +68,7 @@ use crate::metrics::{
     record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, RoundMetrics,
     RoundMetricsBuilder, StreamingMetrics,
 };
-use crate::node::{run_activation, ProtocolStep};
+use crate::node::{run_activation, Process};
 
 /// Rounds with fewer work items (nodes or delivered messages) than this run
 /// their compute phase serially no matter the thread budget: the scoped
@@ -98,7 +99,7 @@ pub struct PhaseSpans {
 /// [`deliver`](Self::deliver) and [`undeliverable`](Self::undeliverable),
 /// then — after the compute phase — [`route`](Self::route) once per node in
 /// id order, and finally [`end_round`](Self::end_round).
-pub trait Delivery<P: ProtocolStep>: Sized {
+pub trait Delivery<P: Process>: Sized {
     /// The scheduler's configuration: the shared [`SimConfig`] plus whatever
     /// the policy needs.
     type Config;
@@ -160,7 +161,7 @@ pub trait Delivery<P: ProtocolStep>: Sized {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NextRound;
 
-impl<P: ProtocolStep> Delivery<P> for NextRound {
+impl<P: Process> Delivery<P> for NextRound {
     type Config = SimConfig;
 
     const SPANS: PhaseSpans = PhaseSpans {
@@ -196,9 +197,8 @@ impl<P: ProtocolStep> Delivery<P> for NextRound {
 
 /// A node in the engine: its protocol state plus per-round scratch that is
 /// reused across rounds (outbox buffer, inbox/sponsorship ranges, digest).
-struct NodeSlot<P: ProtocolStep> {
+struct NodeSlot<P: Process> {
     id: NodeId,
-    joined_at: Round,
     process: P,
     /// Reusable outbox buffer; routed by the policy each round.
     out: Vec<(NodeId, P::Msg)>,
@@ -225,7 +225,7 @@ pub type NodeFactory<P> = Box<dyn Fn(NodeId, Round) -> P + Send>;
 ///
 /// The engine dereferences to its policy, so a policy's own accessors (queue
 /// depth, network counters, fault controls) read as engine methods.
-pub struct Engine<P: ProtocolStep, A: Adversary, D> {
+pub struct Engine<P: Process, A: Adversary, D> {
     config: SimConfig,
     adversary: A,
     factory: NodeFactory<P>,
@@ -275,7 +275,7 @@ pub struct Engine<P: ProtocolStep, A: Adversary, D> {
 /// [`NextRound`] policy.
 pub type Simulator<P, A> = Engine<P, A, NextRound>;
 
-impl<P: ProtocolStep, A: Adversary, D> Deref for Engine<P, A, D> {
+impl<P: Process, A: Adversary, D> Deref for Engine<P, A, D> {
     type Target = D;
 
     fn deref(&self) -> &D {
@@ -283,13 +283,13 @@ impl<P: ProtocolStep, A: Adversary, D> Deref for Engine<P, A, D> {
     }
 }
 
-impl<P: ProtocolStep, A: Adversary, D> DerefMut for Engine<P, A, D> {
+impl<P: Process, A: Adversary, D> DerefMut for Engine<P, A, D> {
     fn deref_mut(&mut self) -> &mut D {
         &mut self.policy
     }
 }
 
-impl<P: ProtocolStep, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
+impl<P: Process, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
     /// Creates an empty engine. Populate the initial node set `V_0` with
     /// [`Engine::seed_nodes`] before stepping.
     pub fn new(config: D::Config, adversary: A, factory: NodeFactory<P>) -> Self {
@@ -349,7 +349,6 @@ impl<P: ProtocolStep, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
         let out = self.spare_outboxes.pop().unwrap_or_default();
         self.slots.push(NodeSlot {
             id,
-            joined_at: round,
             process,
             out,
             digest: 0,
@@ -599,7 +598,6 @@ impl<P: ProtocolStep, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
                     &mut slot.process,
                     slot.id,
                     t,
-                    slot.joined_at,
                     sponsored,
                     seed,
                     hash_seed,

@@ -9,7 +9,7 @@
 use rand_chacha::ChaCha8Rng;
 
 use crate::ids::{NodeId, Round};
-use crate::message::{Envelope, Outbox};
+use crate::message::Envelope;
 use crate::rng;
 
 /// Everything a node may legally observe and do in a single round.
@@ -21,12 +21,12 @@ use crate::rng;
 pub struct Ctx<'a, M> {
     id: NodeId,
     round: Round,
-    joined_at: Round,
     sponsored: &'a [NodeId],
     hash_seed: u64,
     /// Deterministic per-`(seed, node, round)` random stream.
     pub rng: ChaCha8Rng,
-    outbox: Outbox<M>,
+    /// The `(receiver, payload)` pairs sent so far, in send order.
+    outbox: Vec<(NodeId, M)>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -35,38 +35,28 @@ impl<'a, M> Ctx<'a, M> {
     pub fn new(
         id: NodeId,
         round: Round,
-        joined_at: Round,
         sponsored: &'a [NodeId],
         seed: u64,
         hash_seed: u64,
     ) -> Self {
-        Self::with_outbox(
-            id,
-            round,
-            joined_at,
-            sponsored,
-            seed,
-            hash_seed,
-            Outbox::new(),
-        )
+        Self::with_outbox(id, round, sponsored, seed, hash_seed, Vec::new())
     }
 
-    /// Like [`Ctx::new`], but sends into a caller-provided outbox — usually
-    /// one wrapping a buffer recycled from an earlier round via
-    /// [`Outbox::from_vec`], so the steady-state round loop allocates nothing.
+    /// Like [`Ctx::new`], but sends into `outbox` (cleared first) — usually a
+    /// buffer recycled from an earlier round, so its capacity is reused and
+    /// the engine's round loop allocates no outbox in steady state.
     pub fn with_outbox(
         id: NodeId,
         round: Round,
-        joined_at: Round,
         sponsored: &'a [NodeId],
         seed: u64,
         hash_seed: u64,
-        outbox: Outbox<M>,
+        mut outbox: Vec<(NodeId, M)>,
     ) -> Self {
+        outbox.clear();
         Ctx {
             id,
             round,
-            joined_at,
             sponsored,
             hash_seed,
             rng: rng::node_round_rng(seed, id, round),
@@ -84,25 +74,6 @@ impl<'a, M> Ctx<'a, M> {
     #[inline]
     pub fn round(&self) -> Round {
         self.round
-    }
-
-    /// The round in which this node joined the network.
-    #[inline]
-    pub fn joined_at(&self) -> Round {
-        self.joined_at
-    }
-
-    /// Number of completed rounds this node has been part of the network.
-    #[inline]
-    pub fn age(&self) -> Round {
-        self.round - self.joined_at
-    }
-
-    /// `true` if this is the node's very first round (it joined this round and
-    /// therefore knows no other identifiers yet unless told by its sponsor).
-    #[inline]
-    pub fn is_first_round(&self) -> bool {
-        self.round == self.joined_at
     }
 
     /// The nodes that joined the network via this node in the current round.
@@ -127,16 +98,7 @@ impl<'a, M> Ctx<'a, M> {
     /// `t + 1` if `to` is still in the network.
     #[inline]
     pub fn send(&mut self, to: NodeId, payload: M) {
-        self.outbox.send(to, payload);
-    }
-
-    /// Sends a clone of `payload` to every node in `targets`.
-    pub fn broadcast<I>(&mut self, targets: I, payload: M)
-    where
-        M: Clone,
-        I: IntoIterator<Item = NodeId>,
-    {
-        self.outbox.broadcast(targets, payload);
+        self.outbox.push((to, payload));
     }
 
     /// Number of messages queued so far this round (congestion self-check).
@@ -147,26 +109,33 @@ impl<'a, M> Ctx<'a, M> {
     /// Mutable access to the queued `(receiver, payload)` pairs — the hook a
     /// byzantine node uses to rewrite what its honest machinery queued.
     pub fn queued_mut(&mut self) -> &mut Vec<(NodeId, M)> {
-        self.outbox.queued_mut()
+        &mut self.outbox
     }
 
-    /// Consumes the context and returns the outbox (engine internal).
-    pub fn into_outbox(self) -> Outbox<M> {
+    /// Consumes the context and returns the queued `(receiver, payload)`
+    /// pairs, in send order.
+    pub fn into_outbox(self) -> Vec<(NodeId, M)> {
         self.outbox
     }
 }
 
-/// A node-local protocol executed by the simulator.
+/// A node-local protocol — the one node trait every execution engine
+/// schedules.
 ///
-/// Implementors hold all node-local state. The engine guarantees that
-/// `on_round` is called exactly once per round for every node currently in the
-/// network, with every message addressed to it that was sent in the previous
-/// round by a node that still existed at sending time.
+/// Implementors hold all node-local state. One *activation* consumes the
+/// messages delivered to the node since it last ran and emits new messages
+/// through the [`Ctx`]. Which messages those are — and *when* the activation
+/// happens — is the scheduler's [`Delivery`](crate::Delivery) policy, not
+/// protocol logic: the round-synchronous [`Simulator`](crate::Simulator)
+/// delivers every message one round after it was sent, `tsa-event` after a
+/// modelled latency, `tsa-net` after a real loopback-TCP trip. Each engine
+/// activates every node currently in the network exactly once per round,
+/// so the same node logic runs unchanged under all three.
 pub trait Process: Send + 'static {
     /// The protocol message type.
     type Msg: Clone + Send + Sync + 'static;
 
-    /// Executes one synchronous round: receive, compute, send.
+    /// Executes one activation: receive, compute, send.
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[Envelope<Self::Msg>]);
 
     /// A compact digest of the node's internal state, made visible to the
@@ -177,68 +146,21 @@ pub trait Process: Send + 'static {
     }
 }
 
-/// The transport-agnostic node protocol step that every execution engine
-/// schedules.
-///
-/// One *activation* consumes the messages delivered to the node since it last
-/// ran and emits new messages through the [`Ctx`]. Which messages those are —
-/// and *when* the activation happens — is a scheduler policy, not protocol
-/// logic:
-///
-/// * the round-synchronous [`Simulator`](crate::Simulator) activates every
-///   node exactly once per round with the messages sent to it one round
-///   earlier;
-/// * `tsa-event`'s virtual-time engine activates nodes at the round boundaries
-///   of its virtual clock with whatever messages the latency/jitter/loss
-///   models delivered in between.
-///
-/// Every [`Process`] implements `ProtocolStep` automatically (an activation
-/// of a round-synchronous protocol *is* its round), so the same node logic
-/// runs unchanged under both engines. Protocols that only ever run under the
-/// event engine may implement `ProtocolStep` directly.
-pub trait ProtocolStep: Send + 'static {
-    /// The protocol message type.
-    type Msg: Clone + Send + Sync + 'static;
-
-    /// Executes one activation: receive, compute, send.
-    fn on_activation(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[Envelope<Self::Msg>]);
-
-    /// A compact digest of the node's internal state, made visible to the
-    /// adversary only with lateness `b` (Section 1.1). The default of `0`
-    /// reveals nothing.
-    fn state_digest(&self) -> u64 {
-        0
-    }
-}
-
-impl<P: Process> ProtocolStep for P {
-    type Msg = P::Msg;
-
-    fn on_activation(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[Envelope<Self::Msg>]) {
-        self.on_round(ctx, inbox);
-    }
-
-    fn state_digest(&self) -> u64 {
-        Process::state_digest(self)
-    }
-}
-
 /// Runs one node activation — the single protocol step shared by every
 /// execution engine. The scheduler core's compute phase calls exactly this
 /// under every delivery policy, which is what makes the engines scheduler
 /// policies over the *same* protocol rather than protocol copies.
 ///
-/// `out` is a recycled buffer (cleared on wrap) that becomes the activation's
+/// `out` is a recycled buffer (cleared first) that becomes the activation's
 /// outbox; the emitted `(receiver, payload)` pairs are returned together with
 /// the node's state digest (`0` unless `record_digest`). The activation's RNG
 /// stream depends only on `(seed, id, round)`, so *where* and *in which
 /// order* activations of a round execute can never change an output bit.
 #[allow(clippy::too_many_arguments)]
-pub fn run_activation<P: ProtocolStep>(
+pub fn run_activation<P: Process>(
     process: &mut P,
     id: NodeId,
     round: Round,
-    joined_at: Round,
     sponsored: &[NodeId],
     seed: u64,
     hash_seed: u64,
@@ -246,16 +168,14 @@ pub fn run_activation<P: ProtocolStep>(
     out: Vec<(NodeId, P::Msg)>,
     record_digest: bool,
 ) -> (Vec<(NodeId, P::Msg)>, u64) {
-    let outbox = Outbox::from_vec(out);
-    let mut ctx: Ctx<'_, P::Msg> =
-        Ctx::with_outbox(id, round, joined_at, sponsored, seed, hash_seed, outbox);
-    process.on_activation(&mut ctx, inbox);
+    let mut ctx = Ctx::with_outbox(id, round, sponsored, seed, hash_seed, out);
+    process.on_round(&mut ctx, inbox);
     let digest = if record_digest {
         process.state_digest()
     } else {
         0
     };
-    (ctx.into_outbox().into_inner(), digest)
+    (ctx.into_outbox(), digest)
 }
 
 #[cfg(test)]
@@ -273,37 +193,45 @@ mod tests {
     }
 
     #[test]
-    fn ctx_reports_identity_and_age() {
+    fn ctx_reports_identity_and_sponsorships() {
         let sponsored = vec![NodeId(9)];
-        let ctx: Ctx<'_, u32> = Ctx::new(NodeId(1), 10, 4, &sponsored, 0, 0);
+        let ctx: Ctx<'_, u32> = Ctx::new(NodeId(1), 10, &sponsored, 0, 0);
         assert_eq!(ctx.id(), NodeId(1));
         assert_eq!(ctx.round(), 10);
-        assert_eq!(ctx.age(), 6);
-        assert!(!ctx.is_first_round());
         assert_eq!(ctx.sponsored(), &[NodeId(9)]);
     }
 
     #[test]
-    fn first_round_detection() {
-        let ctx: Ctx<'_, u32> = Ctx::new(NodeId(1), 4, 4, &[], 0, 0);
-        assert!(ctx.is_first_round());
-        assert_eq!(ctx.age(), 0);
+    fn ctx_keeps_send_order_and_recycles_its_buffer() {
+        let fresh: Ctx<'_, &str> = Ctx::new(NodeId(1), 0, &[], 0, 0);
+        assert_eq!(fresh.queued(), 0);
+
+        let mut buf: Vec<(NodeId, &str)> = Vec::with_capacity(64);
+        buf.push((NodeId(9), "stale"));
+        let cap = buf.capacity();
+        let mut ctx = Ctx::with_outbox(NodeId(1), 0, &[], 0, 0, buf);
+        assert_eq!(ctx.queued(), 0, "stale contents are cleared");
+        ctx.send(NodeId(1), "a");
+        ctx.send(NodeId(2), "b");
+        assert_eq!(ctx.queued(), 2);
+        let out = ctx.into_outbox();
+        assert_eq!(out, vec![(NodeId(1), "a"), (NodeId(2), "b")]);
+        assert_eq!(out.capacity(), cap, "capacity survives the round trip");
     }
 
     #[test]
     fn echo_process_replies_through_ctx() {
         let mut e = Echo;
-        let mut ctx = Ctx::new(NodeId(2), 5, 0, &[], 1, 1);
+        let mut ctx = Ctx::new(NodeId(2), 5, &[], 1, 1);
         let inbox = vec![Envelope::new(NodeId(7), NodeId(2), 4, 41)];
         e.on_round(&mut ctx, &inbox);
-        let out = ctx.into_outbox().into_inner();
-        assert_eq!(out, vec![(NodeId(7), 42)]);
+        assert_eq!(ctx.into_outbox(), vec![(NodeId(7), 42)]);
     }
 
     #[test]
     fn position_hash_is_consistent_across_ctxs() {
-        let a: Ctx<'_, ()> = Ctx::new(NodeId(1), 0, 0, &[], 0, 77);
-        let b: Ctx<'_, ()> = Ctx::new(NodeId(2), 9, 0, &[], 5, 77);
+        let a: Ctx<'_, ()> = Ctx::new(NodeId(1), 0, &[], 0, 77);
+        let b: Ctx<'_, ()> = Ctx::new(NodeId(2), 9, &[], 5, 77);
         assert_eq!(a.position_hash(NodeId(3), 4), b.position_hash(NodeId(3), 4));
     }
 }
