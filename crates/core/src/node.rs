@@ -34,9 +34,9 @@
 //! instead of being cleared every round.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use tsa_sim::{Ctx, Envelope, NodeId, Process, Round};
@@ -72,6 +72,8 @@ pub struct ProtocolNode {
     d_neighbors: Vec<Neighbor>,
     /// Epoch `d_neighbors` belongs to.
     d_epoch: u64,
+    /// This node's own position in `d_epoch`.
+    d_position: f64,
     /// Announced `(node, position)` pairs for the *next* epoch, collected
     /// during the current odd round (the `H_t` variable of Listing 3).
     h_entries: Vec<Neighbor>,
@@ -89,6 +91,32 @@ pub struct ProtocolNode {
     /// When `Some`, the node runs this misbehavior instead of the honest
     /// protocol (`None` leaves the honest path untouched).
     byzantine: Option<MisbehaviorKind>,
+    /// Working buffers of the activations.
+    scratch: Scratch,
+}
+
+/// The working buffers of one activation, cleared and refilled every round:
+/// once they reach their high-water capacity, a steady-state activation
+/// allocates nothing.
+#[derive(Default)]
+struct Scratch {
+    /// Route copies handled this round.
+    seen: HashSet<RouteKey, BuildHasherDefault<KeyHasher>>,
+    /// Nodes introduced (even round) or announced (odd round) so far.
+    ids: HashSet<NodeId, BuildHasherDefault<KeyHasher>>,
+    /// Delivered joins `(node, target epoch, position)` and tokens
+    /// `(receiver, owner)`, sent after every relay.
+    announcements: Vec<(NodeId, u64, f64)>,
+    token_deliveries: Vec<(NodeId, NodeId)>,
+    /// This node and the fresh nodes it sponsors.
+    joiners: Vec<NodeId>,
+    /// The receivers of one step: a swarm, the members responsible for an
+    /// announced position, or the tokens picked from the pool.
+    members: Vec<NodeId>,
+    /// `(clockwise offset, member)` pairs of the sampling delivery rule.
+    offsets: Vec<(f64, NodeId)>,
+    /// The inbox a selective forwarder lets through.
+    censored: Vec<Envelope<ProtocolMsg>>,
 }
 
 impl ProtocolNode {
@@ -103,12 +131,14 @@ impl ProtocolNode {
             joined_at: None,
             d_neighbors: Vec::new(),
             d_epoch: u64::MAX,
+            d_position: 0.0,
             h_entries: Vec::new(),
             tokens: Vec::new(),
             slots,
             repair_sampled: Vec::new(),
             stats: NodeStats::default(),
             byzantine: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -177,11 +207,6 @@ impl ProtocolNode {
     // Neighbourhood helpers
     // ------------------------------------------------------------------
 
-    /// The node's own position in overlay epoch `epoch`.
-    fn own_position(&self, ctx: &Ctx<'_, ProtocolMsg>, epoch: u64) -> f64 {
-        ctx.position_hash(ctx.id(), epoch)
-    }
-
     /// `true` if the bootstrap substitute applies to `epoch` for this node.
     fn genesis_applies(&self, epoch: u64) -> bool {
         self.genesis.is_some() && epoch < self.params.genesis_epochs
@@ -193,7 +218,7 @@ impl ProtocolNode {
         let Some(genesis) = &self.genesis else {
             return Vec::new();
         };
-        let own = self.own_position(ctx, epoch);
+        let own = ctx.position_hash(ctx.id(), epoch);
         let mut out = Vec::new();
         for &v in genesis.iter() {
             if v == ctx.id() {
@@ -207,50 +232,30 @@ impl ProtocolNode {
         out
     }
 
-    /// Members of the *current* overlay within `radius` of `point`, according
-    /// to this node's neighbour knowledge (plus itself if close enough).
-    fn current_members_near(
+    /// Appends to `out` the members of overlay epoch `epoch` within `radius`
+    /// of `point` that this node knows of. For the current epoch
+    /// (`d_epoch`) those are its neighbours and itself; for the next one,
+    /// the collected announcements, or genesis knowledge during bootstrap.
+    fn members_near(
         &self,
         ctx: &Ctx<'_, ProtocolMsg>,
         epoch: u64,
         point: f64,
         radius: f64,
-    ) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .d_neighbors
-            .iter()
-            .filter(|(_, p)| ring_distance(*p, point) <= radius)
-            .map(|(id, _)| *id)
-            .collect();
-        let own = self.own_position(ctx, epoch);
-        if ring_distance(own, point) <= radius {
+        out: &mut Vec<NodeId>,
+    ) {
+        let near = |p: f64| ring_distance(p, point) <= radius;
+        let current = epoch == self.d_epoch;
+        match (&self.genesis, current) {
+            (Some(g), false) if self.genesis_applies(epoch) => {
+                out.extend(g.iter().filter(|&&v| near(ctx.position_hash(v, epoch))));
+            }
+            (_, false) => out.extend(self.h_entries.iter().filter(|n| near(n.1)).map(|n| n.0)),
+            (_, true) => out.extend(self.d_neighbors.iter().filter(|n| near(n.1)).map(|n| n.0)),
+        }
+        if current && near(self.d_position) {
             out.push(ctx.id());
         }
-        out
-    }
-
-    /// Members of the *next* overlay within `radius` of `point`: from the
-    /// collected announcements, or from genesis knowledge during bootstrap.
-    fn next_members_near(
-        &self,
-        ctx: &Ctx<'_, ProtocolMsg>,
-        next_epoch: u64,
-        point: f64,
-        radius: f64,
-    ) -> Vec<NodeId> {
-        if self.genesis_applies(next_epoch) {
-            let genesis = self.genesis.as_ref().expect("genesis_applies checked");
-            return genesis
-                .iter()
-                .filter(|&&v| ring_distance(ctx.position_hash(v, next_epoch), point) <= radius)
-                .copied()
-                .collect();
-        }
-        self.h_entries
-            .iter()
-            .filter(|(_, p)| ring_distance(*p, point) <= radius)
-            .map(|(id, _)| *id)
-            .collect()
     }
 
     /// The three responsibility intervals of a position `p` in the next
@@ -294,32 +299,32 @@ impl ProtocolNode {
         ctx: &mut Ctx<'_, ProtocolMsg>,
         inbox: &[Envelope<ProtocolMsg>],
         epoch: u64,
+        s: &mut Scratch,
     ) {
         let lambda = self.params.lambda();
         let swarm_r = self.params.swarm_radius();
 
         // (1) Assemble this epoch's neighbour set from the CREATE messages
         //     (or from genesis knowledge during the bootstrap phase).
-        let mut creates: Vec<Neighbor> = inbox
-            .iter()
-            .filter_map(|env| match env.payload {
+        //     A node introduced more than once keeps its first introduction.
+        s.ids.clear();
+        self.d_neighbors.clear();
+        self.d_neighbors
+            .extend(inbox.iter().filter_map(|env| match env.payload {
                 ProtocolMsg::Create {
                     node,
                     epoch: e,
                     position,
-                } if e == epoch && node != ctx.id() => Some((node, position)),
+                } if e == epoch && node != ctx.id() && s.ids.insert(node) => Some((node, position)),
                 _ => None,
-            })
-            .collect();
-        creates.sort_by_key(|a| a.0);
-        creates.dedup_by(|a, b| a.0 == b.0);
-        self.stats.creates_received += creates.len();
+            }));
+        self.d_neighbors.sort_unstable_by_key(|a| a.0);
+        self.stats.creates_received += self.d_neighbors.len();
         if self.genesis_applies(epoch) {
             self.d_neighbors = self.genesis_neighbors(ctx, epoch);
-        } else {
-            self.d_neighbors = creates;
         }
         self.d_epoch = epoch;
+        self.d_position = ctx.position_hash(ctx.id(), epoch);
         let participating = !self.d_neighbors.is_empty();
         if participating {
             self.stats.epochs_participated += 1;
@@ -327,15 +332,15 @@ impl ProtocolNode {
 
         // (2) Advance in-flight route messages (forwarding step) and deliver
         //     completed ones. Deduplicate copies of the same logical message.
-        let mut seen: HashSet<RouteKey> = HashSet::new();
-        let mut announcements: Vec<(NodeId, u64, f64)> = Vec::new();
-        let mut token_deliveries: Vec<(NodeId, NodeId)> = Vec::new();
+        s.seen.clear();
+        s.announcements.clear();
+        s.token_deliveries.clear();
         for env in inbox {
             let Some((key, _)) = route_copy(&env.payload) else {
                 continue;
             };
             self.stats.route_copies_received += 1;
-            if !participating || !seen.insert(key) {
+            if !participating || !s.seen.insert(key) {
                 continue;
             }
             // The key's last field is the copy's trajectory step.
@@ -347,9 +352,9 @@ impl ProtocolNode {
                     let target = ctx.position_hash(node, target_epoch);
                     if delivered {
                         // Delivered: spread the announcement (Listing 3 line 10).
-                        announcements.push((node, target_epoch, target));
+                        s.announcements.push((node, target_epoch, target));
                     } else {
-                        self.forward(ctx, epoch, env.payload, target);
+                        self.forward(ctx, epoch, env.payload, target, &mut s.members);
                     }
                 }
                 ProtocolMsg::RouteToken {
@@ -362,14 +367,20 @@ impl ProtocolNode {
                         // Sampling delivery rule (Listing 2): pick the swarm
                         // member with exactly `delta` members clockwise
                         // between the target point and itself.
-                        let members = self.current_members_near(ctx, epoch, target, swarm_r);
-                        if let Some(receiver) =
-                            delta_select(ctx, epoch, &members, target, delta as usize)
-                        {
-                            token_deliveries.push((receiver, owner));
+                        s.members.clear();
+                        self.members_near(ctx, epoch, target, swarm_r, &mut s.members);
+                        if let Some(receiver) = delta_select(
+                            ctx,
+                            epoch,
+                            &s.members,
+                            target,
+                            delta as usize,
+                            &mut s.offsets,
+                        ) {
+                            s.token_deliveries.push((receiver, owner));
                         }
                     } else {
-                        self.forward(ctx, epoch, env.payload, target);
+                        self.forward(ctx, epoch, env.payload, target, &mut s.members);
                     }
                 }
                 _ => {}
@@ -378,15 +389,15 @@ impl ProtocolNode {
 
         // Spread announcements to every current member responsible for the
         // announced position (Listing 3 line 10).
-        for (node, target_epoch, position) in announcements {
+        for &(node, target_epoch, position) in &s.announcements {
             self.stats.joins_delivered += 1;
-            let mut receivers: Vec<NodeId> = Vec::new();
+            s.members.clear();
             for (center, radius) in self.responsibility(position) {
-                receivers.extend(self.current_members_near(ctx, epoch, center, radius));
+                self.members_near(ctx, epoch, center, radius, &mut s.members);
             }
-            receivers.sort();
-            receivers.dedup();
-            for to in receivers {
+            s.members.sort_unstable();
+            s.members.dedup();
+            for &to in &s.members {
                 ctx.send(
                     to,
                     ProtocolMsg::AnnounceJoin {
@@ -397,7 +408,7 @@ impl ProtocolNode {
                 );
             }
         }
-        for (to, owner) in token_deliveries {
+        for &(to, owner) in &s.token_deliveries {
             ctx.send(to, ProtocolMsg::Token { owner });
         }
 
@@ -406,13 +417,14 @@ impl ProtocolNode {
         //     token emission of A_RANDOM (Listing 4). A fresh request is a
         //     step-0 copy at this node's own position.
         if participating && self.is_mature(ctx.round()) {
-            let own = self.own_position(ctx, epoch);
+            let own = self.d_position;
             let target_epoch = epoch + lambda as u64 + 1;
-            let mut joiners: Vec<NodeId> = vec![ctx.id()];
-            joiners.extend(self.slots.iter().flatten().copied());
-            joiners.sort();
-            joiners.dedup();
-            for node in joiners {
+            s.joiners.clear();
+            s.joiners.push(ctx.id());
+            s.joiners.extend(self.slots.iter().flatten());
+            s.joiners.sort_unstable();
+            s.joiners.dedup();
+            for &node in &s.joiners {
                 self.stats.joins_started += 1;
                 let target = ctx.position_hash(node, target_epoch);
                 let request = ProtocolMsg::RouteJoin {
@@ -421,7 +433,7 @@ impl ProtocolNode {
                     step: 0,
                     point: own,
                 };
-                self.forward(ctx, epoch, request, target);
+                self.forward(ctx, epoch, request, target, &mut s.members);
             }
 
             // Token emission: τ tokens carrying this node's identifier, each
@@ -437,7 +449,7 @@ impl ProtocolNode {
                     step: 0,
                     point: own,
                 };
-                self.forward(ctx, epoch, token, target);
+                self.forward(ctx, epoch, token, target, &mut s.members);
             }
         }
     }
@@ -446,12 +458,14 @@ impl ProtocolNode {
     /// the route copy `msg` at trajectory step `s` and point `p` moves to
     /// point `(p + b) / 2`, where `b` is bit `s + 1` of `target`, and is sent
     /// to up to `r` members of that point's swarm as a step-`s + 1` copy.
+    /// `members` is the scratch buffer for that swarm.
     fn forward(
         &self,
         ctx: &mut Ctx<'_, ProtocolMsg>,
         epoch: u64,
         mut msg: ProtocolMsg,
         target: f64,
+        members: &mut Vec<NodeId>,
     ) {
         let (ProtocolMsg::RouteJoin { step, point, .. }
         | ProtocolMsg::RouteToken { step, point, .. }) = &mut msg
@@ -460,8 +474,9 @@ impl ProtocolNode {
         };
         *step += 1;
         *point = (*point + self.target_bit(target, *step) as f64) / 2.0;
-        let candidates = self.current_members_near(ctx, epoch, *point, self.params.swarm_radius());
-        for to in choose_up_to(&candidates, self.params.replication, &mut ctx.rng) {
+        members.clear();
+        self.members_near(ctx, epoch, *point, self.params.swarm_radius(), members);
+        for &to in choose_up_to(members, self.params.replication, &mut ctx.rng) {
             ctx.send(to, msg);
         }
     }
@@ -475,12 +490,14 @@ impl ProtocolNode {
         ctx: &mut Ctx<'_, ProtocolMsg>,
         inbox: &[Envelope<ProtocolMsg>],
         epoch: u64,
+        s: &mut Scratch,
     ) {
         let swarm_r = self.params.swarm_radius();
         let next_epoch = epoch + 1;
 
-        // (1) Collect announcements into H_t.
+        // (1) Collect announcements into H_t, the first one per node.
         self.h_entries.clear();
+        s.ids.clear();
         for env in inbox {
             if let ProtocolMsg::AnnounceJoin {
                 node,
@@ -490,26 +507,28 @@ impl ProtocolNode {
             {
                 if e == next_epoch {
                     self.stats.announces_received += 1;
-                    self.h_entries.push((node, position));
+                    if s.ids.insert(node) {
+                        self.h_entries.push((node, position));
+                    }
                 }
             }
         }
-        self.h_entries.sort_by_key(|a| a.0);
-        self.h_entries.dedup_by(|a, b| a.0 == b.0);
+        self.h_entries.sort_unstable_by_key(|a| a.0);
 
         // (2) Handover step: every route copy received this round moves to the
         //     next overlay's swarm at its current trajectory point.
-        let mut seen: HashSet<RouteKey> = HashSet::new();
+        s.seen.clear();
         for env in inbox {
             let Some((key, point)) = route_copy(&env.payload) else {
                 continue;
             };
             self.stats.route_copies_received += 1;
-            if !seen.insert(key) {
+            if !s.seen.insert(key) {
                 continue;
             }
-            let candidates = self.next_members_near(ctx, next_epoch, point, swarm_r);
-            for to in choose_up_to(&candidates, self.params.replication, &mut ctx.rng) {
+            s.members.clear();
+            self.members_near(ctx, next_epoch, point, swarm_r, &mut s.members);
+            for &to in choose_up_to(&mut s.members, self.params.replication, &mut ctx.rng) {
                 ctx.send(to, env.payload);
             }
         }
@@ -550,6 +569,7 @@ impl ProtocolNode {
         &mut self,
         ctx: &mut Ctx<'_, ProtocolMsg>,
         inbox: &[Envelope<ProtocolMsg>],
+        picks: &mut Vec<NodeId>,
     ) {
         let now = ctx.round();
         let delta = self.params.delta;
@@ -568,15 +588,12 @@ impl ProtocolNode {
                 ProtocolMsg::Connect { node } => {
                     self.stats.connects_received += 1;
                     self.stats.connects_received_last_round += 1;
-                    let free: Vec<usize> = self
-                        .slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.is_none())
-                        .map(|(i, _)| i)
-                        .collect();
-                    if let Some(&slot) = free.as_slice().choose(&mut ctx.rng) {
-                        self.slots[slot] = Some(node);
+                    // A uniformly random free slot: the k-th of `free`.
+                    let free = self.slots.iter().filter(|s| s.is_none()).count();
+                    if free > 0 {
+                        let k = ctx.rng.gen_range(0..free);
+                        let slot = self.slots.iter_mut().filter(|s| s.is_none()).nth(k);
+                        *slot.expect("k < free") = Some(node);
                     }
                 }
                 ProtocolMsg::Token { owner } => {
@@ -610,14 +627,11 @@ impl ProtocolNode {
 
         // Handle nodes that joined via this node this round: send CONNECTs on
         // their behalf and supply them with tokens (Listing 4 "Upon v joining").
-        let sponsored: Vec<NodeId> = ctx.sponsored().to_vec();
-        for new_node in sponsored {
-            let picked = pick_tokens(&self.tokens, delta, &mut ctx.rng);
-            for owner in &picked {
-                ctx.send(*owner, ProtocolMsg::Connect { node: new_node });
+        for &new_node in ctx.sponsored() {
+            for &owner in pick_tokens(&self.tokens, delta, &mut ctx.rng, picks) {
+                ctx.send(owner, ProtocolMsg::Connect { node: new_node });
             }
-            let supply = pick_tokens(&self.tokens, delta, &mut ctx.rng);
-            for owner in supply {
+            for &owner in pick_tokens(&self.tokens, delta, &mut ctx.rng, picks) {
                 ctx.send(new_node, ProtocolMsg::Token { owner });
             }
             // Make sure the newcomer is sponsored into the overlay even before
@@ -631,8 +645,7 @@ impl ProtocolNode {
         // tokens to stay known by Θ(δ) mature nodes.
         let integrated = self.participates(now / 2);
         if !self.is_mature(now) || !integrated {
-            let picked = pick_tokens(&self.tokens, delta, &mut ctx.rng);
-            for owner in picked {
+            for &owner in pick_tokens(&self.tokens, delta, &mut ctx.rng, picks) {
                 self.repair_sampled.push(owner);
                 ctx.send(owner, ProtocolMsg::Connect { node: ctx.id() });
             }
@@ -650,13 +663,14 @@ impl ProtocolNode {
         ctx: &mut Ctx<'_, ProtocolMsg>,
         inbox: &[Envelope<ProtocolMsg>],
         epoch: u64,
+        s: &mut Scratch,
     ) {
         if ctx.round() % 2 == 0 {
-            self.even_round(ctx, inbox, epoch);
+            self.even_round(ctx, inbox, epoch, s);
         } else {
-            self.odd_round(ctx, inbox, epoch);
+            self.odd_round(ctx, inbox, epoch, s);
         }
-        self.random_overlay_round(ctx, inbox);
+        self.random_overlay_round(ctx, inbox, &mut s.members);
     }
 
     /// One byzantine activation: the honest machinery still runs — the node
@@ -670,24 +684,18 @@ impl ProtocolNode {
         inbox: &[Envelope<ProtocolMsg>],
         epoch: u64,
         kind: MisbehaviorKind,
+        s: &mut Scratch,
     ) {
-        let censored: Vec<Envelope<ProtocolMsg>>;
-        let inbox = if kind == MisbehaviorKind::SelectiveForward {
-            censored = inbox
-                .iter()
-                .filter(|env| {
-                    !matches!(
-                        env.payload,
-                        ProtocolMsg::RouteJoin { .. } | ProtocolMsg::RouteToken { .. }
-                    )
-                })
-                .cloned()
-                .collect();
-            censored.as_slice()
+        if kind == MisbehaviorKind::SelectiveForward {
+            let mut censored = std::mem::take(&mut s.censored);
+            censored.clear();
+            censored.extend_from_slice(inbox);
+            censored.retain(|env| route_copy(&env.payload).is_none());
+            self.honest_round(ctx, &censored, epoch, s);
+            s.censored = censored;
         } else {
-            inbox
-        };
-        self.honest_round(ctx, inbox, epoch);
+            self.honest_round(ctx, inbox, epoch, s);
+        }
 
         let me = ctx.id();
         let mut sent = std::mem::take(ctx.queued_mut());
@@ -747,10 +755,12 @@ impl Process for ProtocolNode {
             self.joined_at = Some(ctx.round());
         }
         let epoch = ctx.round() / 2;
+        let mut scratch = std::mem::take(&mut self.scratch);
         match self.byzantine {
-            None => self.honest_round(ctx, inbox, epoch),
-            Some(kind) => self.byzantine_round(ctx, inbox, epoch, kind),
+            None => self.honest_round(ctx, inbox, epoch, &mut scratch),
+            Some(kind) => self.byzantine_round(ctx, inbox, epoch, kind, &mut scratch),
         }
+        self.scratch = scratch;
         self.stats.last_round = ctx.round();
         self.stats.messages_sent += ctx.queued();
     }
@@ -789,27 +799,54 @@ fn route_copy(msg: &ProtocolMsg) -> Option<(RouteKey, f64)> {
     }
 }
 
-/// Chooses up to `count` distinct elements of `candidates` uniformly at random.
-fn choose_up_to<R: Rng + ?Sized>(candidates: &[NodeId], count: usize, rng: &mut R) -> Vec<NodeId> {
-    if candidates.len() <= count {
-        return candidates.to_vec();
+/// FxHash's rotate-multiply step, far cheaper than SipHash on small keys. Its
+/// sets are only asked for membership, never iterated, so it cannot move an
+/// output bit.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
-    candidates.choose_multiple(rng, count).copied().collect()
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// Chooses up to `count` distinct elements of `candidates` uniformly at
+/// random by a partial Fisher–Yates that moves them to the front. It draws
+/// exactly what `rand`'s `SliceRandom::choose_multiple` draws (nothing when
+/// every candidate is taken), so picks, their order and the RNG stream match.
+fn choose_up_to(candidates: &mut [NodeId], count: usize, mut rng: impl Rng) -> &[NodeId] {
+    let len = candidates.len();
+    if len <= count {
+        return candidates;
+    }
+    for i in 0..count {
+        let j = i + rng.gen_range(0..len - i);
+        candidates.swap(i, j);
+    }
+    &candidates[..count]
 }
 
 /// Picks `count` tokens uniformly at random (with replacement across calls but
-/// without replacement within one call) from the pool.
-fn pick_tokens<R: Rng + ?Sized>(pool: &[NodeId], count: usize, rng: &mut R) -> Vec<NodeId> {
-    if pool.is_empty() {
-        return Vec::new();
-    }
-    let mut distinct: Vec<NodeId> = pool.to_vec();
-    distinct.sort();
+/// without replacement within one call) from the pool, using `distinct` as
+/// the buffer of the pool's distinct owners.
+fn pick_tokens<'b>(
+    pool: &[NodeId],
+    count: usize,
+    rng: impl Rng,
+    distinct: &'b mut Vec<NodeId>,
+) -> &'b [NodeId] {
+    distinct.clear();
+    distinct.extend_from_slice(pool);
+    distinct.sort_unstable();
     distinct.dedup();
-    if distinct.len() <= count {
-        return distinct;
-    }
-    distinct.choose_multiple(rng, count).copied().collect()
+    choose_up_to(distinct, count, rng)
 }
 
 /// The `A_SAMPLING` delivery rule: among `members` (the known swarm of
@@ -821,16 +858,16 @@ fn delta_select(
     members: &[NodeId],
     target: f64,
     delta: usize,
+    right: &mut Vec<(f64, NodeId)>,
 ) -> Option<NodeId> {
-    let mut right: Vec<(f64, NodeId)> = members
-        .iter()
-        .map(|&id| {
-            let p = ctx.position_hash(id, epoch);
-            (((p - target).rem_euclid(1.0)), id)
-        })
-        .filter(|(off, _)| *off <= 0.5)
-        .collect();
-    right.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    right.clear();
+    for &id in members {
+        let offset = (ctx.position_hash(id, epoch) - target).rem_euclid(1.0);
+        if offset <= 0.5 {
+            right.push((offset, id));
+        }
+    }
+    right.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
     right.get(delta).map(|(_, id)| *id)
 }
 
@@ -858,20 +895,76 @@ mod tests {
     #[test]
     fn choose_up_to_caps_at_candidates() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let c: Vec<NodeId> = (0..3).map(NodeId).collect();
-        assert_eq!(choose_up_to(&c, 5, &mut rng).len(), 3);
-        assert_eq!(choose_up_to(&c, 2, &mut rng).len(), 2);
-        let picked = choose_up_to(&c, 2, &mut rng);
+        let mut c: Vec<NodeId> = (0..3).map(NodeId).collect();
+        assert_eq!(choose_up_to(&mut c, 5, &mut rng).len(), 3);
+        assert_eq!(choose_up_to(&mut c, 2, &mut rng).len(), 2);
+        let picked = choose_up_to(&mut c.clone(), 2, &mut rng).to_vec();
         assert!(picked.iter().all(|id| c.contains(id)));
     }
 
     #[test]
     fn pick_tokens_deduplicates() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut buf = Vec::new();
         let pool = vec![NodeId(1), NodeId(1), NodeId(2)];
-        let picked = pick_tokens(&pool, 5, &mut rng);
-        assert_eq!(picked, vec![NodeId(1), NodeId(2)]);
-        assert!(pick_tokens(&[], 3, &mut rng).is_empty());
+        let picked = pick_tokens(&pool, 5, &mut rng, &mut buf);
+        assert_eq!(picked, [NodeId(1), NodeId(2)]);
+        assert!(pick_tokens(&[], 3, &mut rng, &mut buf).is_empty());
+    }
+
+    /// The allocating samplers the in-place ones replaced: a copy when every
+    /// candidate is taken, `rand`'s `choose_multiple` otherwise.
+    fn reference_choose(candidates: &[NodeId], count: usize, rng: &mut ChaCha8Rng) -> Vec<NodeId> {
+        use rand::seq::SliceRandom;
+        if candidates.len() <= count {
+            return candidates.to_vec();
+        }
+        candidates.choose_multiple(rng, count).copied().collect()
+    }
+
+    fn reference_pick(pool: &[NodeId], count: usize, rng: &mut ChaCha8Rng) -> Vec<NodeId> {
+        let mut distinct = pool.to_vec();
+        distinct.sort();
+        distinct.dedup();
+        reference_choose(&distinct, count, rng)
+    }
+
+    #[test]
+    fn in_place_samplers_draw_exactly_like_choose_multiple() {
+        use rand::RngCore;
+        let mut buf = Vec::new();
+        for len in 0..=12u64 {
+            let candidates: Vec<NodeId> = (0..len).map(|i| NodeId(100 + 7 * i)).collect();
+            // A pool with duplicates, in no particular order.
+            let pool: Vec<NodeId> = (0..len).map(|i| NodeId((i * 5) % (len / 2 + 1))).collect();
+            for count in 0..=4 {
+                let seed = len * 8 + count as u64;
+                let (mut old, mut new) = (
+                    ChaCha8Rng::seed_from_u64(seed),
+                    ChaCha8Rng::seed_from_u64(seed),
+                );
+                let expected = reference_choose(&candidates, count, &mut old);
+                let mut scratch = candidates.clone();
+                assert_eq!(
+                    choose_up_to(&mut scratch, count, &mut new),
+                    expected,
+                    "len {len}, count {count}"
+                );
+                assert_eq!(old.next_u64(), new.next_u64(), "len {len}, count {count}");
+
+                let expected = reference_pick(&pool, count, &mut old);
+                assert_eq!(
+                    pick_tokens(&pool, count, &mut new, &mut buf),
+                    expected,
+                    "pool {pool:?}, count {count}"
+                );
+                assert_eq!(
+                    old.next_u64(),
+                    new.next_u64(),
+                    "pool {pool:?}, count {count}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -942,8 +1035,9 @@ mod tests {
         // is well-defined.
         let members: Vec<NodeId> = (0..4).map(NodeId).collect();
         let target = 0.0;
-        let first = delta_select(&ctx, 0, &members, target, 0);
-        let second = delta_select(&ctx, 0, &members, target, 1);
+        let mut buf = Vec::new();
+        let first = delta_select(&ctx, 0, &members, target, 0, &mut buf);
+        let second = delta_select(&ctx, 0, &members, target, 1, &mut buf);
         assert!(first.is_some());
         if let (Some(a), Some(b)) = (first, second) {
             assert_ne!(a, b);
