@@ -22,8 +22,12 @@
 //!   `n ∈ {64, 128, 256}`: a realistic compute phase on top. (The protocol's
 //!   `Θ(n·λ³)` message volume makes larger `n` a memory-bound sweep of its
 //!   own, deliberately out of scope here.)
+//! * `maintained_event` — the same maintained cells on the *event* engine
+//!   under sub-round `uniform(100, 900)` latency: the protocol trace equals
+//!   the round engine's, so the gap to `maintained_lds` is the event
+//!   engine's own cost (fates, queue, batch) at protocol volume.
 //!
-//! Both run at `threads ∈ {1, 2, machine budget}`; `--smoke` shrinks
+//! All run at `threads ∈ {1, 2, machine budget}`; `--smoke` shrinks
 //! everything to a seconds-long CI-sized grid whose only job is to keep the
 //! perf suite from bit-rotting.
 
@@ -34,9 +38,11 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use tsa_adversary::RandomChurnAdversary;
 use tsa_bench::compare::BandOutcome;
+use tsa_bench::experiment_params;
 use tsa_bench::{experiment_scenario, usage, write_bench_json_at, ExpArgs};
-use tsa_core::ProtocolMsg;
+use tsa_core::{AsyncMaintenanceHarness, ProtocolMsg};
 use tsa_event::queue::{CalendarQueue, Pending};
 use tsa_event::{EventConfig, EventSimulator, LatencyModel, NetModel};
 use tsa_scenario::{AdversarySpec, ChurnSpec};
@@ -46,8 +52,9 @@ use tsa_sim::{Envelope as SimEnvelope, MetricsHistory, NullAdversary};
 /// One measured cell of the throughput grid.
 #[derive(Serialize)]
 struct PerfRow {
-    /// `engine_flood` (round-loop overhead) or `maintained_lds` (full
-    /// protocol).
+    /// `engine_flood` / `event_loop` (scheduler overhead) or
+    /// `maintained_lds` / `maintained_event` (full protocol, round / event
+    /// engine).
     workload: &'static str,
     /// Network size.
     n: usize,
@@ -77,16 +84,18 @@ struct PerfRow {
     /// `/proc/self/status` is readable; 0 elsewhere. Monotone across cells —
     /// a process-level high-water mark, not a per-cell measurement.
     vm_hwm_kb: u64,
-    /// Event-engine only: queue events delivered per second over the
-    /// measured window (absent for round-engine workloads, keeping their
-    /// row shape byte-stable).
+    /// Event-engine only: messages delivered per second over the measured
+    /// window, whether they waited in the calendar queue or were routed
+    /// straight to the next boundary's batch (absent for round-engine
+    /// workloads, keeping their row shape byte-stable).
     #[serde(skip_serializing_if = "Option::is_none")]
     events_per_sec: Option<f64>,
     /// Event-engine only: nanoseconds per calendar-queue operation (one push
     /// or one pop) in a direct steady-state microbench.
     #[serde(skip_serializing_if = "Option::is_none")]
     queue_op_ns: Option<f64>,
-    /// Event-engine only: the run's largest post-dispatch queue depth.
+    /// Event-engine only: the run's largest post-dispatch in-flight count
+    /// (queued plus routed straight to the next boundary's batch).
     #[serde(skip_serializing_if = "Option::is_none")]
     peak_queue_depth: Option<u64>,
 }
@@ -265,11 +274,12 @@ fn measure_event_loop(n: usize, threads: usize, rounds: u64) -> PerfRow {
         let wall = t0.elapsed().as_secs_f64().max(1e-9);
         let after = sim.net_stats();
         let in_flight_after = sim.in_flight_count() as i128;
-        // Events popped over the window: everything enqueued in it (sent
-        // minus lost minus churn drops), corrected by the queue-depth delta.
-        let enqueued = (after.sent - after.lost - after.dropped_departed) as i128
+        // Messages delivered over the window: everything handed on in it
+        // (sent minus lost minus churn drops), corrected by the in-flight
+        // delta (queue plus next batch).
+        let handed_on = (after.sent - after.lost - after.dropped_departed) as i128
             - (before.sent - before.lost - before.dropped_departed) as i128;
-        let popped = (enqueued + in_flight_before - in_flight_after).max(0) as u64;
+        let delivered = (handed_on + in_flight_before - in_flight_after).max(0) as u64;
         let mut row = finish_row(
             "event_loop",
             n,
@@ -280,20 +290,24 @@ fn measure_event_loop(n: usize, threads: usize, rounds: u64) -> PerfRow {
             sim.metrics(),
             std::mem::size_of::<SimEnvelope<u64>>(),
         );
-        row.events_per_sec = Some(popped as f64 / wall);
+        row.events_per_sec = Some(delivered as f64 / wall);
         row.queue_op_ns = Some(measure_queue_op_ns());
         row.peak_queue_depth = Some(sim.peak_queue_depth());
         row
     })
 }
 
+/// The maintained cells' adversary seed and run seed.
+const MAINTAINED_ADVERSARY_SEED: u64 = 13;
+const MAINTAINED_SEED: u64 = 29;
+
 fn measure_maintained(n: usize, threads: usize, rounds: u64) -> PerfRow {
     rayon::with_thread_cap(threads, || {
         let actual_threads = rayon::current_num_threads();
         let mut run = experiment_scenario(n)
             .churn(ChurnSpec::paper())
-            .adversary(AdversarySpec::random(1, 13))
-            .seed(29)
+            .adversary(AdversarySpec::random(1, MAINTAINED_ADVERSARY_SEED))
+            .seed(MAINTAINED_SEED)
             .build();
         let warmup = run.params().bootstrap_rounds();
         run.run_bootstrap();
@@ -310,6 +324,40 @@ fn measure_maintained(n: usize, threads: usize, rounds: u64) -> PerfRow {
             run.metrics(),
             std::mem::size_of::<SimEnvelope<ProtocolMsg>>(),
         )
+    })
+}
+
+fn measure_maintained_event(n: usize, threads: usize, rounds: u64) -> PerfRow {
+    rayon::with_thread_cap(threads, || {
+        let actual_threads = rayon::current_num_threads();
+        // The `maintained_lds` cell (same params, churn, adversary, seed) on
+        // the event engine, with every delay inside one round.
+        let params = experiment_params(n);
+        let mut h = AsyncMaintenanceHarness::assemble(
+            params,
+            RandomChurnAdversary::new(1, MAINTAINED_ADVERSARY_SEED),
+            MAINTAINED_SEED,
+            params.paper_churn_rules(),
+            params.paper_lateness(),
+            NetModel::new(LatencyModel::uniform(100, 900)),
+        );
+        let warmup = params.bootstrap_rounds();
+        h.run_bootstrap();
+        let t0 = Instant::now();
+        h.run(rounds);
+        let wall = t0.elapsed().as_secs_f64();
+        let mut row = finish_row(
+            "maintained_event",
+            n,
+            actual_threads,
+            warmup,
+            rounds,
+            wall,
+            h.metrics(),
+            std::mem::size_of::<SimEnvelope<ProtocolMsg>>(),
+        );
+        row.peak_queue_depth = Some(h.simulator().peak_queue_depth());
+        row
     })
 }
 
@@ -379,7 +427,8 @@ fn main() {
     let mut rows = Vec::new();
     println!(
         "exp_perf{}: flood n ∈ {flood_sizes:?} × event n ∈ {event_sizes:?} × \
-         maintained n ∈ {maintained_sizes:?} × threads ∈ {thread_grid:?}",
+         maintained (round and event engine) n ∈ {maintained_sizes:?} × \
+         threads ∈ {thread_grid:?}",
         if smoke { " (smoke)" } else { "" },
     );
     let cells = flood_sizes
@@ -404,6 +453,13 @@ fn main() {
                 maintained_rounds,
                 measure_maintained as fn(usize, usize, u64) -> PerfRow,
             )
+        }))
+        .chain(maintained_sizes.iter().map(|&n| {
+            (
+                n,
+                maintained_rounds,
+                measure_maintained_event as fn(usize, usize, u64) -> PerfRow,
+            )
         }));
     for (n, rounds, measure) in cells {
         for &threads in &thread_grid {
@@ -425,6 +481,8 @@ fn main() {
                      peak queue depth {depth}",
                     "", "",
                 );
+            } else if let Some(depth) = row.peak_queue_depth {
+                println!("  {:<14} {:>22} peak queue depth {depth}", "", "");
             }
             rows.push(row);
         }

@@ -26,15 +26,20 @@
 //!
 //! # Event queue and determinism
 //!
-//! Pending deliveries live in a [`CalendarQueue`](crate::queue) — a timing
+//! A message that arrives by the next round boundary is read there, so it
+//! goes straight onto the core's next batch. Only the messages that
+//! straddle a boundary wait in a [`CalendarQueue`](crate::queue) — a timing
 //! wheel with one bucket per round window — whose pop order is exactly the
 //! total order `(arrival tick, sequence number, receiver)`. The sequence
 //! number is the message's global send index, assigned while the core's
 //! sequential collect routes each outbox in id order, which makes the order
-//! total and *stable* no matter how many threads computed the round. Each
-//! boundary's deliverable batch is re-sorted into send order before it
-//! reaches the inboxes (residual jitter within one boundary has no semantic
-//! meaning), so every inbox is filled exactly like the lockstep engine's.
+//! total and *stable* no matter how many threads computed the round. Before
+//! a round routes its first message, the queue's messages due at the next
+//! boundary (all sent earlier, so with smaller sequence numbers) start the
+//! next batch in send order, and the round's own direct messages follow:
+//! each boundary's batch reaches the inboxes in send order (residual jitter
+//! within one boundary has no semantic meaning), so every inbox is filled
+//! exactly like the lockstep engine's.
 //! Message fates are pure functions of `(master seed, sequence number)`, so
 //! identical seeds give byte-identical traces at any thread/host
 //! configuration — including under `TSA_THREADS` caps and inside parallel
@@ -106,9 +111,10 @@ pub struct NetStats {
     pub bridge_lost: u64,
 }
 
-/// The event engine's delivery policy: a calendar queue under per-message
-/// latency, jitter and loss drawn from a [`Topology`], plus optional fault
-/// injection and fate-trace recording or replay.
+/// The event engine's delivery policy: per-message latency, jitter and loss
+/// drawn from a [`Topology`], a calendar queue for the messages that
+/// straddle a round boundary, plus optional fault injection and fate-trace
+/// recording or replay.
 pub struct Queued<P: Process> {
     topology: Topology,
     ticks_per_round: u64,
@@ -118,11 +124,20 @@ pub struct Queued<P: Process> {
     /// of time but never wrap it back to the past (which would reorder the
     /// queue).
     now: u64,
-    /// The event queue: pending deliveries, earliest `(arrival, seq)` first.
+    /// The event queue: deliveries due after the next boundary, earliest
+    /// `(arrival, seq)` first.
     queue: CalendarQueue<P::Msg>,
-    /// Scratch: the current boundary's deliverable batch, re-sorted into
-    /// global send order before it reaches the inboxes.
+    /// Scratch: the queue's messages due at the next boundary, sorted into
+    /// global send order before they start the next batch.
     deliverable: Vec<Pending<P::Msg>>,
+    /// Whether this round has already moved the queue's messages due at
+    /// the next boundary onto the next batch (done once, before the first
+    /// message of the round is routed).
+    staged_queue: bool,
+    /// Messages placed on the core's next batch this round — the queue's
+    /// due ones plus those routed straight there; counted with the queue
+    /// as in flight.
+    staged: usize,
     /// Global send sequence number: the identity of a message for the
     /// network model's per-message streams.
     seq: u64,
@@ -130,7 +145,8 @@ pub struct Queued<P: Process> {
     /// `seq` (sequence numbers are monotone, so one generation serves the
     /// whole window).
     fate_block: Option<FateBlock>,
-    /// High-water mark of the event queue depth, sampled once per boundary.
+    /// High-water mark of the in-flight message count (queued plus routed
+    /// straight to the next batch), sampled once per boundary.
     peak_queue_depth: u64,
     stats: NetStats,
     /// The counters at the start of the current round (obs deltas).
@@ -152,14 +168,23 @@ pub struct Queued<P: Process> {
 /// [`Queued`] policy.
 pub type EventSimulator<P, A> = Engine<P, A, Queued<P>>;
 
+/// The tick of the boundary that ends round `t` (saturating): `end_round`
+/// moves the clock there, and a message arriving at or before it is read by
+/// round `t + 1`.
+fn next_boundary(t: Round, ticks_per_round: u64) -> u64 {
+    t.saturating_add(1).saturating_mul(ticks_per_round)
+}
+
 impl<P: Process> Queued<P> {
     /// The current virtual time in ticks (the tick of the next boundary).
     pub fn virtual_time(&self) -> u64 {
         self.now
     }
 
-    /// High-water mark of the event queue depth over the whole run, sampled
-    /// at each round boundary after dispatch (when the queue is fullest).
+    /// High-water mark of the in-flight message count over the whole run —
+    /// the calendar queue plus the messages routed straight to the next
+    /// batch — sampled at each round boundary after dispatch (when the most
+    /// messages are in flight).
     pub fn peak_queue_depth(&self) -> u64 {
         self.peak_queue_depth
     }
@@ -208,10 +233,23 @@ impl<P: Process> Queued<P> {
             .map_or_else(FaultStats::default, FaultInjector::stats)
     }
 
+    /// Appends the queue's messages due at or before tick `due` to `batch`
+    /// in global send order and returns how many there were. The wheel
+    /// moves whole due buckets with a bulk append (unordered); the by-seq
+    /// sort here is the only order they ever get.
+    fn stage_queue(&mut self, due: u64, batch: &mut Vec<Envelope<P::Msg>>) -> usize {
+        self.queue.drain_at_or_before(due, &mut self.deliverable);
+        self.deliverable.sort_unstable_by_key(|p| p.seq);
+        let count = self.deliverable.len();
+        batch.extend(self.deliverable.drain(..).map(|p| p.env));
+        count
+    }
+
     /// Hands one message (sequence number `seq`) to the network: a fault
     /// drop, a sample from the network model plus any fault delay, or —
-    /// when replaying a recorded twin run — the fixed schedule's entry.
-    /// Returns `true` if the message was lost.
+    /// when replaying a recorded twin run — the fixed schedule's entry. A
+    /// message due by the next boundary goes onto `next`, any later one
+    /// into the queue. Returns `true` if the message was lost.
     fn send(
         &mut self,
         t: Round,
@@ -219,6 +257,7 @@ impl<P: Process> Queued<P> {
         env: Envelope<P::Msg>,
         fault_drop: bool,
         extra_delay: u64,
+        next: &mut Vec<Envelope<P::Msg>>,
     ) -> bool {
         self.stats.sent += 1;
         // The effective model of this message is a pure function of
@@ -293,7 +332,12 @@ impl<P: Process> Queued<P> {
                         .max(t.saturating_add(1));
                     tr.record(seq, MessageFate::Delivered { at_round });
                 }
-                self.queue.push(Pending { arrival, seq, env });
+                if arrival <= next_boundary(t, self.ticks_per_round) {
+                    self.staged += 1;
+                    next.push(env);
+                } else {
+                    self.queue.push(Pending { arrival, seq, env });
+                }
                 false
             }
         }
@@ -319,6 +363,8 @@ impl<P: Process> Delivery<P> for Queued<P> {
             now: 0,
             queue: CalendarQueue::new(config.ticks_per_round),
             deliverable: Vec::new(),
+            staged_queue: false,
+            staged: 0,
             seq: 0,
             fate_block: None,
             peak_queue_depth: 0,
@@ -333,6 +379,8 @@ impl<P: Process> Delivery<P> for Queued<P> {
 
     fn begin_round(&mut self, _t: Round) {
         self.round_start = self.stats;
+        self.staged_queue = false;
+        self.staged = 0;
         if let Some(f) = self.faults.as_mut() {
             f.begin_round();
         }
@@ -342,19 +390,21 @@ impl<P: Process> Delivery<P> for Queued<P> {
     /// delay of `d ∈ [0, ticks_per_round]` for a message sent at boundary
     /// `t - 1` lands at `(t-1)·T + d ≤ t·T` and is therefore read here,
     /// which is the synchronous model's one-round delay; larger delays
-    /// straddle further boundaries. The batch is re-sorted into global
-    /// *send* order: within one boundary the residual arrival jitter has no
-    /// semantic meaning (every message of the batch is read by the same
-    /// activation), and send order is exactly the lockstep engine's
-    /// delivery order — this is what makes any sub-round network model,
-    /// jitter included, bit-identical to the round engine.
+    /// straddle further boundaries. The batch is in global *send* order:
+    /// within one boundary the residual arrival jitter has no semantic
+    /// meaning (every message of the batch is read by the same activation),
+    /// and send order is exactly the lockstep engine's delivery order —
+    /// this is what makes any sub-round network model, jitter included,
+    /// bit-identical to the round engine.
+    ///
+    /// [`route`](Delivery::route) built the batch during last round's
+    /// collect: first the queue's messages due here, then last round's own
+    /// messages that arrive by this boundary, so it is already complete and
+    /// in send order. Only a round that routed nothing leaves due messages
+    /// in the queue, and then the batch is empty, so appending them keeps
+    /// the order.
     fn deliver(&mut self, _t: Round, batch: &mut Vec<Envelope<P::Msg>>) -> usize {
-        // The wheel moves whole due buckets with a bulk append (unordered);
-        // the by-seq sort below is the only order the inboxes ever see.
-        self.queue
-            .drain_at_or_before(self.now, &mut self.deliverable);
-        self.deliverable.sort_unstable_by_key(|p| p.seq);
-        batch.extend(self.deliverable.drain(..).map(|p| p.env));
+        self.stage_queue(self.now, batch);
         0
     }
 
@@ -367,10 +417,18 @@ impl<P: Process> Delivery<P> for Queued<P> {
         t: Round,
         from: NodeId,
         out: &mut Vec<(NodeId, P::Msg)>,
-        _next: &mut Vec<Envelope<P::Msg>>,
+        next: &mut Vec<Envelope<P::Msg>>,
         obs: &ObsHandle,
     ) -> usize {
         let span = obs.span_start();
+        if !self.staged_queue {
+            // Before this round's first send: the queue's messages due at
+            // the next boundary were all sent in earlier rounds, so their
+            // sequence numbers are smaller and they start the next batch.
+            self.staged_queue = true;
+            let due = next_boundary(t, self.ticks_per_round);
+            self.staged += self.stage_queue(due, next);
+        }
         let mut lost = 0;
         for (to, mut payload) in out.drain(..) {
             // Fault-plan decision on the sequence number this message is
@@ -397,7 +455,7 @@ impl<P: Process> Delivery<P> for Queued<P> {
                 let seq = self.seq;
                 self.seq += 1;
                 let env = Envelope::new(from, to, t, payload);
-                lost += usize::from(self.send(t, seq, env, fault_drop, extra_delay));
+                lost += usize::from(self.send(t, seq, env, fault_drop, extra_delay, next));
             }
         }
         obs.span_end("event.fate", span);
@@ -405,8 +463,9 @@ impl<P: Process> Delivery<P> for Queued<P> {
     }
 
     fn end_round(&mut self, t: Round, obs: &ObsHandle) {
-        self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len() as u64);
-        self.now = t.saturating_add(1).saturating_mul(self.ticks_per_round);
+        let in_flight = (self.queue.len() + self.staged) as u64;
+        self.peak_queue_depth = self.peak_queue_depth.max(in_flight);
+        self.now = next_boundary(t, self.ticks_per_round);
         if !obs.is_on() {
             return;
         }
@@ -421,7 +480,7 @@ impl<P: Process> Delivery<P> for Queued<P> {
         );
         obs.add("event.bridge_sent", d.bridge_sent - s.bridge_sent);
         obs.add("event.bridge_lost", d.bridge_lost - s.bridge_lost);
-        obs.observe("event.queue_len", self.queue.len() as u64);
+        obs.observe("event.queue_len", in_flight);
         // Fault counters only exist when a plan is installed, so fault-free
         // runs keep their exact historical obs output.
         if let Some(f) = &self.faults {
@@ -429,6 +488,8 @@ impl<P: Process> Delivery<P> for Queued<P> {
         }
     }
 
+    /// Queue-only: the messages staged on the next batch are already
+    /// counted by the core's batch.
     fn pending(&self) -> usize {
         self.queue.len()
     }

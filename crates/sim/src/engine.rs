@@ -36,7 +36,9 @@
 //! "Performance model" chapter of DESIGN.md):
 //!
 //! * node slots live in a `Vec` sorted by identifier (identifiers are
-//!   assigned monotonically, so joins append in order and the sort is free);
+//!   assigned monotonically, so joins append in order and the sort is free),
+//!   and an id-indexed table, rebuilt when membership changes, maps a
+//!   receiver id to its slot in `O(1)`;
 //! * delivery groups the policy's batch (in global send order) by receiver
 //!   with a stable counting scatter (count → prefix-sum → move into the
 //!   second buffer) and hands every node a contiguous *slice* of it — no
@@ -122,16 +124,22 @@ pub trait Delivery<P: Process>: Sized {
         0
     }
 
-    /// Appends round `t`'s deliverable messages to `batch` in global send
-    /// order. Returns the number of messages the policy itself dropped.
+    /// Completes round `t`'s batch. On entry `batch` holds what
+    /// [`route`](Self::route) pushed onto `next` in round `t - 1`, in global
+    /// send order; the policy appends every other message deliverable at
+    /// `t`, keeping the whole batch in send order. Returns the number of
+    /// messages the policy itself dropped.
     fn deliver(&mut self, t: Round, batch: &mut Vec<Envelope<P::Msg>>) -> usize;
 
     /// `count` messages of the batch found their receiver departed.
     fn undeliverable(&mut self, _count: usize) {}
 
-    /// Takes node `from`'s round-`t` sends out of `out`. A policy that reads
-    /// every message one round later pushes them onto `next`, which becomes
-    /// round `t + 1`'s batch. Returns the number of messages lost on the way.
+    /// Takes node `from`'s round-`t` sends out of `out`. Messages that round
+    /// `t + 1` reads may be pushed onto `next`, which becomes the start of
+    /// round `t + 1`'s batch and must stay in global send order (a policy
+    /// holding earlier messages due at `t + 1` pushes those first); the
+    /// policy keeps any others until a later [`deliver`](Self::deliver).
+    /// Returns the number of messages lost on the way.
     fn route(
         &mut self,
         t: Round,
@@ -195,6 +203,77 @@ impl<P: Process> Delivery<P> for NextRound {
     }
 }
 
+/// Maps node ids to slot indices in `O(1)`: entry `i` belongs to id
+/// `base + i`, over the ids from the oldest member to the last one assigned
+/// (ids are assigned monotonically, so every member is in range). Rebuilt
+/// whenever membership changes. It also carries one stamp per id, with
+/// which the collect counts a sender's distinct receivers without sorting
+/// its outbox.
+#[derive(Default)]
+struct IdTable {
+    base: u64,
+    /// Slot index per id, [`IdTable::NO_SLOT`] for ids that are not members.
+    slots: Vec<u32>,
+    /// The stamp of the last sender that messaged each id.
+    stamps: Vec<u32>,
+    /// The current sender's stamp; never 0, which marks "not yet messaged".
+    stamp: u32,
+}
+
+impl IdTable {
+    const NO_SLOT: u32 = u32::MAX;
+
+    /// Re-indexes the members `ids` (ascending), given the next id to be
+    /// assigned.
+    fn rebuild(&mut self, ids: impl Iterator<Item = NodeId>, next_id: u64) {
+        let mut ids = ids.peekable();
+        self.base = ids.peek().map_or(next_id, |id| id.raw());
+        let len = usize::try_from(next_id - self.base).expect("id range fits in memory");
+        self.slots.clear();
+        self.slots.resize(len, Self::NO_SLOT);
+        self.stamps.clear();
+        self.stamps.resize(len, 0);
+        for (slot, id) in ids.enumerate() {
+            self.slots[(id.raw() - self.base) as usize] =
+                u32::try_from(slot).expect("slot count fits in u32");
+        }
+    }
+
+    /// The table entry of `id`, or `None` for an id outside the table
+    /// (never assigned, or older than every member).
+    #[inline]
+    fn entry(&self, id: NodeId) -> Option<usize> {
+        let i = id.raw().wrapping_sub(self.base);
+        (i < self.slots.len() as u64).then_some(i as usize)
+    }
+
+    /// The slot of `id`, if it is a member.
+    #[inline]
+    fn slot(&self, id: NodeId) -> Option<usize> {
+        let slot = self.slots[self.entry(id)?];
+        (slot != Self::NO_SLOT).then_some(slot as usize)
+    }
+
+    /// Starts counting a new sender's distinct receivers.
+    fn next_sender(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.stamps.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    /// Whether this is the current sender's first message to `id`; `None`
+    /// for an id outside the table, which the caller counts on its own.
+    #[inline]
+    fn first_visit(&mut self, id: NodeId) -> Option<bool> {
+        let i = self.entry(id)?;
+        let first = self.stamps[i] != self.stamp;
+        self.stamps[i] = self.stamp;
+        Some(first)
+    }
+}
+
 /// A node in the engine: its protocol state plus per-round scratch that is
 /// reused across rounds (outbox buffer, inbox/sponsorship ranges, digest).
 struct NodeSlot<P: Process> {
@@ -233,6 +312,8 @@ pub struct Engine<P: Process, A: Adversary, D> {
     /// Node slots, sorted by identifier (the append-only id sequence keeps
     /// joins in order; departures preserve order).
     slots: Vec<NodeSlot<P>>,
+    /// Receiver id → slot index, rebuilt whenever `slots` changes.
+    ids: IdTable,
     members: BTreeMap<NodeId, MemberInfo>,
     /// The messages the next deliver phase scatters, in global send order.
     batch: Vec<Envelope<P::Msg>>,
@@ -251,7 +332,8 @@ pub struct Engine<P: Process, A: Adversary, D> {
     route_slots: Vec<usize>,
     /// Scratch: per-slot write cursors of the delivery scatter.
     route_cursors: Vec<usize>,
-    /// Scratch for per-node distinct-receiver computation.
+    /// Scratch: a sender's receivers outside the id table (older than every
+    /// member, or never assigned), counted by sort and dedup.
     dedup_scratch: Vec<NodeId>,
     /// Scratch for churn-plan validation (departure dedup, join fan-in).
     plan_scratch: PlanScratch,
@@ -300,6 +382,7 @@ impl<P: Process, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
             factory,
             policy,
             slots: Vec::new(),
+            ids: IdTable::default(),
             members: BTreeMap::new(),
             batch: Vec::new(),
             inboxes: Vec::new(),
@@ -339,7 +422,14 @@ impl<P: Process, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
             self.spawn_slot(id, self.round);
             ids.push(id);
         }
+        self.index_members();
         ids
+    }
+
+    /// Rebuilds the id table after membership changed.
+    fn index_members(&mut self) {
+        self.ids
+            .rebuild(self.slots.iter().map(|s| s.id), self.next_id);
     }
 
     /// Materializes the engine-side slot (process + scratch) for a node that
@@ -556,6 +646,9 @@ impl<P: Process, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
             for &(id, _bootstrap) in outcome.joined.iter() {
                 self.spawn_slot(id, t);
             }
+            if !(outcome.departed.is_empty() && outcome.joined.is_empty()) {
+                self.index_members();
+            }
         }
         mb.record_churn(outcome.departed.len(), outcome.joined.len());
         self.obs.span_end(D::SPANS.churn, span);
@@ -626,6 +719,7 @@ impl<P: Process, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
         let mut lost = 0usize;
         {
             let scratch = &mut self.dedup_scratch;
+            let ids = &mut self.ids;
             let obs = &self.obs;
             let obs_on = obs.is_on();
             for slot in self.slots.iter_mut() {
@@ -634,14 +728,31 @@ impl<P: Process, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
                     // Per-node inbox sizes: messages this activation read.
                     obs.observe("proto.inbox_len", slot.inbox_len as u64);
                 }
+                // Distinct receivers: a stamp per table id, a sort only for
+                // ids outside the table. Edges go in first-seen order; the
+                // sort below puts the round's edge list in canonical order.
+                ids.next_sender();
                 scratch.clear();
-                scratch.extend(slot.out.iter().map(|(to, _)| *to));
-                scratch.sort_unstable();
-                scratch.dedup();
-                mb.record_sent(slot.id, slot.out.len(), scratch.len());
-                for &to in scratch.iter() {
-                    rec.graph.edges.push((slot.id, to));
+                let mut distinct = 0usize;
+                for &(to, _) in slot.out.iter() {
+                    match ids.first_visit(to) {
+                        Some(true) => {
+                            distinct += 1;
+                            rec.graph.edges.push((slot.id, to));
+                        }
+                        Some(false) => {}
+                        None => scratch.push(to),
+                    }
                 }
+                if !scratch.is_empty() {
+                    scratch.sort_unstable();
+                    scratch.dedup();
+                    distinct += scratch.len();
+                    rec.graph
+                        .edges
+                        .extend(scratch.iter().map(|&to| (slot.id, to)));
+                }
+                mb.record_sent(slot.id, slot.out.len(), distinct);
                 if record_digests {
                     rec.digests.push((slot.id, slot.digest));
                 }
@@ -672,8 +783,8 @@ impl<P: Process, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
         self.round += 1;
     }
 
-    /// Moves the batch into `inboxes` as a stable counting scatter: locate
-    /// each envelope's receiver slot (binary search), prefix-sum the counts
+    /// Moves the batch into `inboxes` as a stable counting scatter: look up
+    /// each envelope's receiver slot in the id table, prefix-sum the counts
     /// into per-slot ranges, then move every delivered envelope into its
     /// range. Each node's inbox is then one contiguous slice, grouped in
     /// slot (= id) order with send order preserved within each group —
@@ -688,12 +799,12 @@ impl<P: Process, A: Adversary, D: Delivery<P>> Engine<P, A, D> {
         let mut dropped = 0usize;
         self.route_slots.clear();
         for env in self.batch.iter() {
-            match self.slots.binary_search_by_key(&env.to, |s| s.id) {
-                Ok(idx) => {
+            match self.ids.slot(env.to) {
+                Some(idx) => {
                     self.slots[idx].inbox_len += 1;
                     self.route_slots.push(idx);
                 }
-                Err(_) => {
+                None => {
                     dropped += 1;
                     self.route_slots.push(DROP);
                 }
@@ -967,6 +1078,75 @@ mod tests {
         s.run(4);
         // Messages addressed to node 0 in round 1 were dropped in round 2.
         assert!(s.metrics().rounds()[2].messages_dropped > 0);
+    }
+
+    #[test]
+    fn receivers_outside_the_membership_are_dropped_and_counted() {
+        // Every round each node messages live nodes 1 and 3, nodes 0 and 2
+        // (both depart at round 2: 0 then lies below every member id, 2
+        // between them) and the never-assigned id u64::MAX — most of them
+        // twice, so distinct receivers differ from messages sent.
+        const NOWHERE: NodeId = NodeId(u64::MAX);
+        const TARGETS: [NodeId; 9] = [
+            NodeId(1),
+            NodeId(2),
+            NOWHERE,
+            NodeId(0),
+            NodeId(1),
+            NodeId(3),
+            NOWHERE,
+            NodeId(2),
+            NodeId(0),
+        ];
+        struct Repeater;
+        impl Process for Repeater {
+            type Msg = ();
+            fn on_round(&mut self, ctx: &mut Ctx<'_, ()>, _inbox: &[Envelope<()>]) {
+                for to in TARGETS {
+                    ctx.send(to, ());
+                }
+            }
+        }
+        struct DepartTwo;
+        impl Adversary for DepartTwo {
+            fn plan(&mut self, round: Round, _view: &KnowledgeView<'_>) -> ChurnPlan {
+                ChurnPlan {
+                    departures: if round == 2 {
+                        vec![NodeId(0), NodeId(2)]
+                    } else {
+                        Vec::new()
+                    },
+                    joins: Vec::new(),
+                }
+            }
+        }
+        let config = SimConfig::default().with_churn_rules(ChurnRules {
+            max_events: Some(10),
+            window: 4,
+            ..ChurnRules::default()
+        });
+        let mut s = Simulator::new(config, DepartTwo, Box::new(|_, _| Repeater));
+        s.seed_nodes(5);
+        s.run(4);
+        let rows = s.metrics().rounds();
+        // Round 1 reads round 0's sends: only the u64::MAX copies (2 of 9
+        // per sender, 5 senders) have no receiver. Round 2 also loses
+        // everything for 0 and 2; from round 3 on, 3 senders remain.
+        let dropped: Vec<usize> = rows.iter().map(|r| r.messages_dropped).collect();
+        assert_eq!(dropped, [0, 10, 30, 18]);
+        let delivered: Vec<usize> = rows.iter().map(|r| r.messages_delivered).collect();
+        assert_eq!(delivered, [0, 35, 15, 9]);
+        // Five distinct receivers per sender, departed or never assigned.
+        assert!(rows.iter().all(|r| r.max_out_degree == 5));
+        assert!(rows.iter().all(|r| r.messages_sent == 9 * r.node_count));
+        let mut expected = Vec::new();
+        for from in [1, 3, 4] {
+            for to in [0, 1, 2, 3, u64::MAX] {
+                expected.push((NodeId(from), NodeId(to)));
+            }
+        }
+        assert_eq!(s.comm_graph_at(3).unwrap().edges, expected);
+        assert_eq!(s.comm_graph_at(0).unwrap().edges.len(), 25);
     }
 
     struct GreedyChurn;
